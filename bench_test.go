@@ -157,14 +157,12 @@ func BenchmarkEstimate(b *testing.B) {
 
 func BenchmarkTopK(b *testing.B) {
 	s := benchStream(1 << 16)
-	alg := hh.NewSpaceSaving[uint64](1024)
-	for _, x := range s {
-		alg.Update(x)
-	}
+	alg := hh.New[uint64](hh.WithCapacity(1024))
+	alg.UpdateBatch(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(hh.Top[uint64](alg, 10)) == 0 {
+		if len(alg.Top(10)) == 0 {
 			b.Fatal("empty top-k")
 		}
 	}
@@ -172,7 +170,7 @@ func BenchmarkTopK(b *testing.B) {
 
 func BenchmarkConcurrentUpdateParallel(b *testing.B) {
 	s := benchStream(1 << 16)
-	c := hh.NewConcurrentUint64(16, 256)
+	c := hh.New[uint64](hh.WithConcurrent(), hh.WithShards(16), hh.WithCapacity(256))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -184,36 +182,32 @@ func BenchmarkConcurrentUpdateParallel(b *testing.B) {
 	})
 }
 
-func BenchmarkEncodeSummary(b *testing.B) {
+func BenchmarkSummaryEncode(b *testing.B) {
 	s := benchStream(1 << 16)
-	alg := hh.NewSpaceSaving[uint64](1024)
-	for _, x := range s {
-		alg.Update(x)
-	}
+	alg := hh.New[uint64](hh.WithCapacity(1024))
+	alg.UpdateBatch(s)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := hh.EncodeSummary(io.Discard, alg); err != nil {
+		if err := alg.Encode(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkDecodeSummary(b *testing.B) {
+func BenchmarkSummaryDecode(b *testing.B) {
 	s := benchStream(1 << 16)
-	alg := hh.NewSpaceSaving[uint64](1024)
-	for _, x := range s {
-		alg.Update(x)
-	}
+	alg := hh.New[uint64](hh.WithCapacity(1024))
+	alg.UpdateBatch(s)
 	var buf bytes.Buffer
-	if err := hh.EncodeSummary(&buf, alg); err != nil {
+	if err := alg.Encode(&buf); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hh.DecodeSummary(bytes.NewReader(raw)); err != nil {
+		if _, err := hh.Decode[uint64](bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,8 +291,8 @@ func BenchmarkSummaryShardedUpdateBatchParallel(b *testing.B) {
 
 func BenchmarkMerge(b *testing.B) {
 	s := benchStream(1 << 16)
-	a1 := hh.NewSpaceSaving[uint64](256)
-	a2 := hh.NewSpaceSaving[uint64](256)
+	a1 := hh.New[uint64](hh.WithCapacity(256))
+	a2 := hh.New[uint64](hh.WithCapacity(256))
 	for i, x := range s {
 		if i%2 == 0 {
 			a1.Update(x)
@@ -309,6 +303,8 @@ func BenchmarkMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hh.Merge[uint64](256, 16, a1, a2)
+		if _, err := hh.MergeSummaries(256, a1, a2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

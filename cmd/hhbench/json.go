@@ -107,9 +107,8 @@ func runJSON(path string, n uint64, universe int, seed uint64, m int, smoke bool
 		}
 	}
 	// Contended-ingest rows: the concurrency tier under 1/4/8 writer
-	// goroutines, a mixed reader+writer run, the per-item Update path
-	// and the deprecated Concurrent[K] it replaced (kept as the
-	// regression baseline the new tier must not fall below).
+	// goroutines, a mixed reader+writer run and the per-item Update
+	// path.
 	zipf := stream.Zipf(universe, 1.1, n, stream.OrderRandom, seed)
 	for _, rec := range measureContended(zipf, m) {
 		report.Add(rec)
@@ -170,8 +169,7 @@ const contendedPasses = 3
 // summary. Writer counts cross the batch path (the production ingest
 // path) with a mixed reader+writer row — one reader burst-polling
 // TopAppend and Estimate, which under the concurrency tier must not
-// collapse writer throughput — plus per-item Update rows for the new
-// tier and the legacy Concurrent[K] baseline it retired.
+// collapse writer throughput — plus the tier's per-item Update row.
 func measureContended(s []uint64, m int) []benchjson.Record {
 	newSum := func() hh.Summary[uint64] {
 		return hh.New[uint64](hh.WithCapacity(m), hh.WithShards(contendedShards), hh.WithConcurrent())
@@ -211,10 +209,6 @@ func measureContended(s []uint64, m int) []benchjson.Record {
 	recs = append(recs, timeContended(
 		fmt.Sprintf("contended/spacesaving/zipf-1.1/concurrent%d-update/w8", contendedShards),
 		s, 8, 1, newSum(), itemW, nil))
-	legacy := hh.NewConcurrentUint64(contendedShards, m)
-	recs = append(recs, timeContended(
-		fmt.Sprintf("contended/spacesaving/zipf-1.1/legacy%d-update/w8", contendedShards),
-		s, 8, 1, legacy.Summary(), itemW, nil))
 	return recs
 }
 

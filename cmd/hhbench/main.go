@@ -94,8 +94,8 @@ func runIngest(n uint64, universe int, alpha float64, seed uint64, shards, m, ba
 
 // runIngestContended prints the multi-goroutine rows: the concurrency
 // tier (WithConcurrent + WithShards) under 1/4/8 batch writers, the
-// same with a burst-polling reader alongside, and the per-item paths
-// of the tier versus the deprecated Concurrent[K] it replaced.
+// same with a burst-polling reader alongside, and the tier's per-item
+// Update path.
 func runIngestContended(s []uint64, shards, m, batch int) {
 	fmt.Println()
 	batchIngest := func(sum hh.Summary[uint64]) func([]uint64) {
@@ -173,12 +173,6 @@ func runIngestContended(s []uint64, shards, m, batch int) {
 	contend(fmt.Sprintf("concurrent(%d) 8 writers+reader", shards), mixed, 8, batchIngest(mixed), true)
 	perItem := hh.New[uint64](concurrentOpts...)
 	contend(fmt.Sprintf("concurrent(%d) 8 writers Update", shards), perItem, 8, itemIngest(perItem), false)
-	legacy := hh.NewConcurrentUint64(shards, m)
-	contend(fmt.Sprintf("legacy Concurrent(%d) 8 writers", shards), legacy.Summary(), 8, func(part []uint64) {
-		for _, x := range part {
-			legacy.Update(x)
-		}
-	}, false)
 }
 
 func main() {

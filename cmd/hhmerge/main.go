@@ -10,13 +10,12 @@
 //	curl -s http://hhserverd:8070/v1/queries/encode | hhmerge -m 1000 -
 //
 // "-" reads one summary blob from standard input (usable once per
-// invocation), so server snapshots pipe straight in. Summary files in
-// the current (v2) format are written by Summary.Encode (hhcli -dump,
-// hhserverd's /encode endpoint); both uint64- and string-keyed blobs
-// are accepted — the key kind is sniffed per file, and one invocation
-// must be all one kind (a uint64 stream and a string stream have no
-// common item space to merge). Files in the legacy EncodeSummary (v1)
-// format are accepted transparently.
+// invocation), so server snapshots pipe straight in. Inputs are the
+// blobs Summary.Encode writes (hhcli -dump, hhserverd's /encode
+// endpoint): flat "HHSUM2" frames and windowed "HHWIN2" containers,
+// uint64- or string-keyed — the key kind is sniffed per file, and one
+// invocation must be all one kind (a uint64 stream and a string stream
+// have no common item space to merge). Any other input is an error.
 package main
 
 import (
@@ -37,12 +36,9 @@ type loaded struct {
 	str hh.Summary[string]
 }
 
-// load reads one summary input (a file path, or "-" for stdin),
-// accepting the v2 Summary.Encode format — flat "HHSUM2" frames and
-// windowed "HHWIN2" containers alike, uint64- or string-keyed — and
-// falling back to the legacy v1 blob format (uint64-keyed; its only
-// producers). An input that carries a v2 magic reports the v2
-// decoder's error, not the fallback's.
+// load reads one summary input (a file path, or "-" for stdin) in the
+// Summary.Encode format — flat "HHSUM2" frames and windowed "HHWIN2"
+// containers alike, uint64- or string-keyed.
 func load(path string) (loaded, error) {
 	var data []byte
 	var err error
@@ -54,24 +50,17 @@ func load(path string) (loaded, error) {
 	if err != nil {
 		return loaded{}, err
 	}
-	if len(data) >= 6 {
-		switch string(data[:6]) {
-		case "HHSUM2", "HHWIN2":
-			if info, ok := hh.SniffBlob(data); ok && info.StringKeys {
-				s, err := hh.Decode[string](bytes.NewReader(data))
-				return loaded{str: s}, err
-			}
-			s, err := hh.Decode[uint64](bytes.NewReader(data))
-			return loaded{u64: s}, err
-		}
+	if !bytes.HasPrefix(data, []byte("HHSUM2")) && !bytes.HasPrefix(data, []byte("HHWIN2")) {
+		return loaded{}, fmt.Errorf("not a summary blob: want an HHSUM2 or HHWIN2 frame as written by Summary.Encode (hhcli -dump, hhserverd /encode)")
 	}
-	blob, err := hh.DecodeSummary(bytes.NewReader(data))
-	if err != nil {
-		return loaded{}, err
+	// A blob whose header does not sniff still decodes as uint64, so the
+	// decoder reports what is wrong with it.
+	if info, ok := hh.SniffBlob(data); ok && info.StringKeys {
+		s, err := hh.Decode[string](bytes.NewReader(data))
+		return loaded{str: s}, err
 	}
-	// Lift the legacy blob onto the unified surface at its own capacity
-	// so it merges like any other summary, error metadata included.
-	return loaded{u64: hh.FromBlob(0, blob)}, nil
+	s, err := hh.Decode[uint64](bytes.NewReader(data))
+	return loaded{u64: s}, err
 }
 
 // announceWindow notes a windowed input: it contributes only its

@@ -3,6 +3,7 @@ package heavyhitters_test
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"testing"
 
 	hh "repro"
@@ -26,38 +27,45 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestEncodeSummaryPropagatesWriteErrors(t *testing.T) {
-	ss := hh.NewSpaceSaving[uint64](4)
-	for _, x := range []uint64{1, 1, 2, 3} {
-		ss.Update(x)
-	}
+// encodeFailsBelowSize checks Encode against every write budget short
+// of the full blob (each must surface the sink's error) and the exact
+// budget (which must succeed).
+func encodeFailsBelowSize[K comparable](t *testing.T, s hh.Summary[K]) {
+	t.Helper()
 	var full bytes.Buffer
-	if err := hh.EncodeSummary(&full, ss); err != nil {
+	if err := s.Encode(&full); err != nil {
 		t.Fatal(err)
 	}
 	size := full.Len()
-	// Any budget below the full size must surface the sink's error; the
-	// exact size must succeed.
 	for budget := 0; budget < size; budget++ {
-		if err := hh.EncodeSummary(&failingWriter{remaining: budget}, ss); err == nil {
-			t.Errorf("budget %d/%d: expected write error", budget, size)
+		if err := s.Encode(&failingWriter{remaining: budget}); !errors.Is(err, errSink) {
+			t.Errorf("budget %d/%d: err = %v, want the sink's error", budget, size, err)
 		}
 	}
-	if err := hh.EncodeSummary(&failingWriter{remaining: size}, ss); err != nil {
+	if err := s.Encode(&failingWriter{remaining: size}); err != nil {
 		t.Errorf("exact budget failed: %v", err)
 	}
 }
 
+func TestEncodeSummaryPropagatesWriteErrors(t *testing.T) {
+	s := hh.New[uint64](hh.WithCapacity(4))
+	for _, x := range []uint64{1, 1, 2, 3} {
+		s.Update(x)
+	}
+	encodeFailsBelowSize(t, s)
+}
+
+// TestEncodeStringSummaryPropagatesWriteErrors sweeps the windowed
+// container, string-keyed: its per-epoch frames are staged in a buffer
+// before they reach the sink.
 func TestEncodeStringSummaryPropagatesWriteErrors(t *testing.T) {
-	ss := hh.NewSpaceSaving[string](4)
-	ss.Update("a-reasonably-long-key-to-cross-buffer-boundaries")
-	var full bytes.Buffer
-	if err := hh.EncodeStringSummary(&full, ss); err != nil {
-		t.Fatal(err)
+	s := hh.New[string](hh.WithCapacity(4), hh.WithWindow(8), hh.WithEpochs(2))
+	for i := 0; i < 6; i++ {
+		s.Update("a-reasonably-long-key-to-cross-buffer-boundaries")
+		s.Update("k" + strconv.Itoa(i))
 	}
-	for budget := 0; budget < full.Len(); budget++ {
-		if err := hh.EncodeStringSummary(&failingWriter{remaining: budget}, ss); err == nil {
-			t.Errorf("budget %d: expected write error", budget)
-		}
+	if _, ok := s.Window(); !ok {
+		t.Fatal("not a windowed summary")
 	}
+	encodeFailsBelowSize(t, s)
 }

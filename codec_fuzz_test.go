@@ -11,31 +11,42 @@ import (
 // Decoders must never panic on arbitrary input; successful decodes of
 // well-formed blobs must preserve the entries.
 
+// FuzzDecodeSummary drives the route a consumer of blobs of unknown
+// provenance takes (hhmerge, the registry's /merge): SniffBlob, then
+// Decode at the sniffed key kind. Sniffing must never reject a blob
+// that decodes, and a decoded blob must refuse the other key kind.
 func FuzzDecodeSummary(f *testing.F) {
-	ss := hh.NewSpaceSaving[uint64](4)
-	for _, x := range []uint64{1, 1, 2, 3, 4, 5} {
-		ss.Update(x)
+	flat := hh.New[string](hh.WithCapacity(4))
+	win := hh.New[uint64](hh.WithCapacity(4), hh.WithWindow(8), hh.WithEpochs(2))
+	for i, w := range []string{"a", "bb", "a", "", "ccc", "a"} {
+		flat.Update(w)
+		win.Update(uint64(i % 3))
 	}
-	var seed bytes.Buffer
-	if err := hh.EncodeSummary(&seed, ss); err != nil {
-		f.Fatal(err)
+	for _, s := range []interface{ Encode(io.Writer) error }{flat, win} {
+		var seed bytes.Buffer
+		if err := s.Encode(&seed); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed.Bytes())
 	}
-	f.Add(seed.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte("HHSUM1"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		blob, err := hh.DecodeSummary(bytes.NewReader(raw))
-		if err != nil {
+		_, errU := hh.Decode[uint64](bytes.NewReader(raw))
+		_, errS := hh.Decode[string](bytes.NewReader(raw))
+		info, ok := hh.SniffBlob(raw)
+		if !ok {
+			if errU == nil || errS == nil {
+				t.Fatal("SniffBlob rejected a decodable blob")
+			}
 			return
 		}
-		// Entry counts must be internally consistent.
-		if blob.Capacity < 0 {
-			t.Fatal("negative capacity decoded")
+		if errU == nil && errS == nil {
+			t.Fatal("blob decoded under both key kinds")
 		}
-		// Refeeding a decoded blob must not panic.
-		dst := hh.NewSpaceSavingR[uint64](4)
-		blob.FeedInto(dst)
+		if info.StringKeys && errU == nil || !info.StringKeys && errS == nil {
+			t.Fatalf("sniffed StringKeys=%v but decoded under the other kind", info.StringKeys)
+		}
 	})
 }
 
@@ -118,23 +129,38 @@ func FuzzDecodeWindow(f *testing.F) {
 	})
 }
 
+// FuzzDecodeStringSummary is FuzzDecodeV2 for string keys, whose
+// length-prefixed key reads are the decoder's only variable-size
+// allocation.
 func FuzzDecodeStringSummary(f *testing.F) {
-	ss := hh.NewSpaceSaving[string](4)
+	src := hh.New[string](hh.WithCapacity(4))
 	for _, w := range []string{"a", "bb", "a", ""} {
-		ss.Update(w)
+		src.Update(w)
 	}
 	var seed bytes.Buffer
-	if err := hh.EncodeStringSummary(&seed, ss); err != nil {
+	if err := src.Encode(&seed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed.Bytes())
-	f.Add([]byte("HHSUM1\x02"))
+	f.Add([]byte("HHSUM2\x01\x01\x02"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		blob, err := hh.DecodeStringSummary(bytes.NewReader(raw))
+		s, err := hh.Decode[string](bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
-		dst := hh.NewSpaceSavingR[string](4)
-		blob.FeedInto(dst)
+		if s.Capacity() < 1 {
+			t.Fatal("non-positive capacity decoded")
+		}
+		for _, e := range s.Top(8) {
+			lo, hi := s.EstimateBounds(e.Item)
+			if lo > hi {
+				t.Fatalf("inverted bounds [%v, %v]", lo, hi)
+			}
+		}
+		s.HeavyHitters(0.5)
+		s.Update("fresh")
+		if err := s.Encode(io.Discard); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
 	})
 }

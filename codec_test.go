@@ -11,111 +11,125 @@ import (
 	"repro/internal/stream"
 )
 
-func TestSummaryCodecRoundTripUint64(t *testing.T) {
-	ss := hh.NewSpaceSaving[uint64](8)
-	for _, x := range []uint64{1, 1, 1, 2, 2, 3, 1 << 50} {
-		ss.Update(x)
-	}
+// roundTrip encodes s and decodes the blob with the same key type.
+func roundTrip[K comparable](t *testing.T, s hh.Summary[K]) hh.Summary[K] {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := hh.EncodeSummary(&buf, ss); err != nil {
+	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := hh.DecodeSummary(&buf)
+	dec, err := hh.Decode[K](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blob.Capacity != 8 || blob.N != 7 {
-		t.Errorf("blob meta = m:%d N:%d, want 8/7", blob.Capacity, blob.N)
+	return dec
+}
+
+// sameEntries reports whether two summaries store identical counters:
+// the same items with the same counts and recorded errors (the order
+// of tied counts is not part of the contract).
+func sameEntries[K comparable](a, b hh.Summary[K]) bool {
+	if a.Len() != b.Len() {
+		return false
 	}
-	want := ss.Entries()
-	if len(blob.Entries) != len(want) {
-		t.Fatalf("entries = %d, want %d", len(blob.Entries), len(want))
+	want := make(map[K]hh.WeightedEntry[K], a.Len())
+	for e := range a.All() {
+		want[e.Item] = e
 	}
-	for i := range want {
-		if blob.Entries[i] != want[i] {
-			t.Errorf("entry %d = %+v, want %+v", i, blob.Entries[i], want[i])
+	for e := range b.All() {
+		if want[e.Item] != e {
+			return false
 		}
+	}
+	return true
+}
+
+func TestSummaryCodecRoundTripUint64(t *testing.T) {
+	// Six distinct items into four counters: evictions leave nonzero
+	// per-entry errors, which must survive with the counts.
+	ss := hh.New[uint64](hh.WithCapacity(4))
+	for _, x := range []uint64{1, 1, 1, 2, 2, 3, 1 << 50, 4, 5} {
+		ss.Update(x)
+	}
+	dec := roundTrip(t, ss)
+	if dec.Capacity() != 4 || dec.N() != 9 {
+		t.Errorf("decoded meta = m:%d N:%v, want 4/9", dec.Capacity(), dec.N())
+	}
+	if !sameEntries(ss, dec) {
+		t.Errorf("entries = %v, want %v", dec.Top(dec.Len()), ss.Top(ss.Len()))
 	}
 }
 
 func TestSummaryCodecRoundTripString(t *testing.T) {
-	ss := hh.NewSpaceSaving[string](4)
+	ss := hh.New[string](hh.WithCapacity(4))
 	for _, w := range []string{"alpha", "beta", "alpha", "", "gamma-with-long-name"} {
 		ss.Update(w)
 	}
-	var buf bytes.Buffer
-	if err := hh.EncodeStringSummary(&buf, ss); err != nil {
-		t.Fatal(err)
+	dec := roundTrip(t, ss)
+	if got := dec.Estimate("alpha"); got != 2 {
+		t.Errorf("alpha count = %v, want 2", got)
 	}
-	blob, err := hh.DecodeStringSummary(&buf)
-	if err != nil {
-		t.Fatal(err)
+	found := false
+	for _, e := range dec.Top(dec.Len()) {
+		found = found || e.Item == ""
 	}
-	got := map[string]uint64{}
-	for _, e := range blob.Entries {
-		got[e.Item] = e.Count
-	}
-	if got["alpha"] != 2 {
-		t.Errorf("alpha count = %d, want 2", got["alpha"])
-	}
-	if _, ok := got[""]; !ok {
+	if !found {
 		t.Error("empty-string key lost in round trip")
 	}
 }
 
 func TestSummaryCodecEmptySummary(t *testing.T) {
-	f := hh.NewFrequent[uint64](4)
-	var buf bytes.Buffer
-	if err := hh.EncodeSummary(&buf, f); err != nil {
-		t.Fatal(err)
+	dec := roundTrip(t, hh.New[uint64](hh.WithAlgorithm(hh.AlgoFrequent), hh.WithCapacity(4)))
+	if dec.Len() != 0 || dec.N() != 0 {
+		t.Errorf("decoded Len %d, N %v; want empty", dec.Len(), dec.N())
 	}
-	blob, err := hh.DecodeSummary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob.Entries) != 0 || blob.N != 0 {
-		t.Errorf("blob = %+v, want empty", blob)
+	if dec.Algorithm() != hh.AlgoFrequent {
+		t.Errorf("decoded algo %v, want frequent", dec.Algorithm())
 	}
 }
 
 func TestSummaryCodecRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":      {},
-		"bad magic":  []byte("XXXXXXXXXXXX"),
-		"truncated":  {'H', 'H', 'S', 'U', 'M', '1', 1},
-		"wrong kind": append([]byte{'H', 'H', 'S', 'U', 'M', '1', 9}, 0, 0, 0),
+		"empty":       {},
+		"bad magic":   []byte("XXXXXXXXXXXX"),
+		"v1 magic":    []byte("HHSUM1\x01\x08\x07\x00"),
+		"truncated":   {'H', 'H', 'S', 'U', 'M', '2', 1},
+		"wrong kind":  {'H', 'H', 'S', 'U', 'M', '2', 1, 0, 9, 4},
+		"sketch algo": {'H', 'H', 'S', 'U', 'M', '2', byte(hh.AlgoCountMin), 0, 1, 4},
 	}
 	for name, raw := range cases {
-		if _, err := hh.DecodeSummary(bytes.NewReader(raw)); !errors.Is(err, hh.ErrBadSummary) {
+		if _, err := hh.Decode[uint64](bytes.NewReader(raw)); !errors.Is(err, hh.ErrBadSummary) {
 			t.Errorf("%s: err = %v, want ErrBadSummary", name, err)
 		}
 	}
 }
 
 func TestSummaryCodecKindMismatch(t *testing.T) {
-	ss := hh.NewSpaceSaving[uint64](4)
+	ss := hh.New[uint64](hh.WithCapacity(4))
 	ss.Update(1)
 	var buf bytes.Buffer
-	if err := hh.EncodeSummary(&buf, ss); err != nil {
+	if err := ss.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hh.DecodeStringSummary(&buf); !errors.Is(err, hh.ErrBadSummary) {
+	if _, err := hh.Decode[string](&buf); !errors.Is(err, hh.ErrBadSummary) {
 		t.Errorf("string decoder accepted uint64 blob: %v", err)
 	}
 }
 
 func TestSummaryCodecTruncatedEntries(t *testing.T) {
-	ss := hh.NewSpaceSaving[uint64](4)
+	ss := hh.New[uint64](hh.WithCapacity(4))
 	for _, x := range []uint64{1, 2, 3} {
 		ss.Update(x)
 	}
 	var buf bytes.Buffer
-	if err := hh.EncodeSummary(&buf, ss); err != nil {
+	if err := ss.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := hh.DecodeSummary(bytes.NewReader(raw[:len(raw)-2])); err == nil {
-		t.Error("truncated blob decoded without error")
+	for cut := 1; cut < len(raw); cut++ {
+		if _, err := hh.Decode[uint64](bytes.NewReader(raw[:cut])); !errors.Is(err, hh.ErrBadSummary) {
+			t.Fatalf("blob truncated to %d/%d bytes: err = %v, want ErrBadSummary", cut, len(raw), err)
+		}
 	}
 }
 
@@ -124,8 +138,8 @@ func TestMergeBlobsMatchesDirectMerge(t *testing.T) {
 	const n, total, m, k = 300, 60000, 100, 10
 	s := stream.Zipf(n, 1.1, total, stream.OrderRandom, 17)
 	truth := exact.FromStream(s)
-	a := hh.NewSpaceSaving[uint64](m)
-	b := hh.NewSpaceSaving[uint64](m)
+	a := hh.New[uint64](hh.WithCapacity(m))
+	b := hh.New[uint64](hh.WithCapacity(m))
 	for i, x := range s {
 		if i%2 == 0 {
 			a.Update(x)
@@ -133,33 +147,37 @@ func TestMergeBlobsMatchesDirectMerge(t *testing.T) {
 			b.Update(x)
 		}
 	}
-	var bufA, bufB bytes.Buffer
-	if err := hh.EncodeSummary(&bufA, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := hh.EncodeSummary(&bufB, b); err != nil {
-		t.Fatal(err)
-	}
-	blobA, err := hh.DecodeSummary(&bufA)
+	// Merging at 2m never evicts during the refeed, so the result does
+	// not depend on the order tied counters are replayed in, and the
+	// two routes must agree exactly.
+	viaWire, err := hh.MergeSummaries(2*m, roundTrip(t, a), roundTrip(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobB, err := hh.DecodeSummary(&bufB)
+	direct, err := hh.MergeSummaries(2*m, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaWire := hh.MergeBlobs(m, blobA, blobB)
-	direct := hh.MergeAll[uint64](m, a, b)
 	for i := uint64(0); i < n; i++ {
-		if viaWire.EstimateWeighted(i) != direct.EstimateWeighted(i) {
-			t.Fatalf("item %d: wire merge %v != direct merge %v",
-				i, viaWire.EstimateWeighted(i), direct.EstimateWeighted(i))
+		if viaWire.Estimate(i) != direct.Estimate(i) {
+			t.Fatalf("item %d: wire merge %v != direct merge %v", i, viaWire.Estimate(i), direct.Estimate(i))
+		}
+		// A decoded input charges its producer's Δ to absent items on
+		// top of its own minimum counter, so shipped upper bounds may be
+		// looser than in-process ones, never tighter.
+		wlo, whi := viaWire.EstimateBounds(i)
+		dlo, dhi := direct.EstimateBounds(i)
+		if wlo != dlo || whi < dhi {
+			t.Fatalf("item %d: wire bounds [%v, %v] vs direct [%v, %v]", i, wlo, whi, dlo, dhi)
+		}
+		if f := truth.Freq(i); f < wlo || f > whi {
+			t.Fatalf("item %d: true %v outside wire bounds [%v, %v]", i, f, wlo, whi)
 		}
 	}
 	// And the merged result still honours the (3,2) bound.
 	bound := hh.MergedGuarantee(hh.TailGuarantee{A: 1, B: 1}).Bound(m, k, truth.Res1(k))
 	for i := uint64(0); i < n; i++ {
-		if d := math.Abs(truth.Freq(i) - viaWire.EstimateWeighted(i)); d > bound {
+		if d := math.Abs(truth.Freq(i) - viaWire.Estimate(i)); d > bound {
 			t.Errorf("item %d: error %v exceeds bound %v", i, d, bound)
 		}
 	}

@@ -12,10 +12,8 @@ import (
 )
 
 // Version-2 wire format: the codec behind Summary.Encode and Decode. It
-// supersedes the v1 blob formats (EncodeSummary / EncodeWeightedSummary,
-// still supported for existing files) by carrying everything a
-// coordinator needs to keep querying with certain bounds after a
-// decode:
+// carries everything a coordinator needs to keep querying with certain
+// bounds after a decode:
 //
 //	magic "HHSUM2" | algo | flags | key kind | capacity uvarint |
 //	mass f64 | slack f64 | absent slack f64 | [guarantee A f64, B f64] |
@@ -39,9 +37,28 @@ const (
 	v2FlagHasGuarantee byte = 1 << 1
 )
 
-// ErrUnsupportedSummary reports an Encode of a summary whose state is
-// not portable (sketch backends) or whose key type has no wire form.
-var ErrUnsupportedSummary = errors.New("heavyhitters: summary not encodable")
+// Key-kind tags of the wire format.
+const (
+	keyKindUint64 byte = 1
+	keyKindString byte = 2
+)
+
+// maxEncodedCapacity is the largest counter capacity a v2 frame may
+// carry: Decode rejects anything above it as malformed, and New
+// rejects any encodable composition whose encoded capacity could
+// exceed it (see WithCapacity), so every summary that can be built can
+// also be decoded.
+const maxEncodedCapacity = 1 << 24
+
+var (
+	// ErrBadSummary reports a malformed or foreign summary blob.
+	ErrBadSummary = errors.New("heavyhitters: malformed summary encoding")
+
+	// ErrUnsupportedSummary reports an Encode of a summary whose state
+	// is not portable (sketch backends) or whose key type has no wire
+	// form.
+	ErrUnsupportedSummary = errors.New("heavyhitters: summary not encodable")
+)
 
 // keyKindFor maps the key type parameter to its wire tag (0 = no wire
 // form).
@@ -327,8 +344,8 @@ func decodeFlatBody[K comparable](br *bufio.Reader, wantKind byte) (Algo, *weigh
 	}
 	// Encode raises the capacity to the entry count, so the entry bound
 	// below makes this also the counter budget a well-formed producer
-	// could have used; 2^24 counters is far beyond any real deployment.
-	if capacity < 1 || capacity > 1<<24 {
+	// could have used.
+	if capacity < 1 || capacity > maxEncodedCapacity {
 		return 0, nil, fmt.Errorf("%w: unreasonable capacity %d", ErrBadSummary, capacity)
 	}
 	mass, err := readFiniteFloat(br, "mass")
@@ -373,7 +390,7 @@ func decodeFlatBody[K comparable](br *bufio.Reader, wantKind byte) (Algo, *weigh
 	if hint > 4096 {
 		hint = 4096
 	}
-	//hh:checked capacity is validated to [1, 2^24] above and hint clamped to 4096, inside NewRSized's domain
+	//hh:checked capacity is validated to [1, maxEncodedCapacity] above and hint clamped to 4096, inside NewRSized's domain
 	dst := spacesaving.NewRSized[K](int(capacity), hint)
 	carryErr := flags&v2FlagOverEst != 0
 	for i := uint64(0); i < count; i++ {
@@ -405,33 +422,6 @@ func decodeFlatBody[K comparable](br *bufio.Reader, wantKind byte) (Algo, *weigh
 	return algo, be, nil
 }
 
-// FromBlob lifts a legacy v1 summary blob (DecodeSummary) onto the
-// unified Summary surface with m counters, carrying the per-entry error
-// metadata through. The v1 format does not record the producing
-// algorithm, so entries are treated in the SPACESAVING convention
-// (Err is a certain overestimation bound) — the convention of every v1
-// producer in this repository. m < 1 sizes from the blob's capacity.
-func FromBlob[K comparable](m int, blob *SummaryBlob[K]) Summary[K] {
-	if m < 1 {
-		m = blob.Capacity
-	}
-	if m < len(blob.Entries) {
-		m = len(blob.Entries)
-	}
-	if m < 1 {
-		m = 1
-	}
-	dst := NewSpaceSavingR[K](m)
-	for _, e := range blob.Entries {
-		dst.Absorb(e.Item, float64(e.Count), float64(e.Err))
-	}
-	be := &weightedBackend[K]{ssr: dst, g: TailGuarantee{A: 1, B: 1}, hasG: true}
-	// Carry any stream mass the stored counts undercount, so N() matches
-	// the producer's recorded stream length.
-	be.carryExtraMass(float64(blob.N))
-	return &summary[K]{algo: AlgoSpaceSaving, be: be}
-}
-
 //hh:nopanic
 func readFiniteFloat(br *bufio.Reader, field string) (float64, error) {
 	v, err := readFloat(br)
@@ -442,4 +432,29 @@ func readFiniteFloat(br *bufio.Reader, field string) (float64, error) {
 		return 0, fmt.Errorf("%w: non-finite %s", ErrBadSummary, field)
 	}
 	return v, nil
+}
+
+// The fixed-width helpers encode straight into the writer's free buffer
+// space and decode from the reader's peeked window, so no per-field
+// scratch array escapes to the heap.
+
+func writeUvarint(bw *bufio.Writer, v uint64) error {
+	_, err := bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
+	return err
+}
+
+func writeFloat(bw *bufio.Writer, v float64) error {
+	_, err := bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), math.Float64bits(v)))
+	return err
+}
+
+//hh:nopanic
+func readFloat(br *bufio.Reader) (float64, error) {
+	buf, err := br.Peek(8)
+	if err != nil {
+		return 0, err
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(buf))
+	_, err = br.Discard(8)
+	return v, err
 }

@@ -13,48 +13,43 @@ import (
 )
 
 func TestWeightedCodecRoundTrip(t *testing.T) {
-	r := hh.NewSpaceSavingR[uint64](4)
+	r := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(4))
 	r.UpdateWeighted(1, 2.5)
 	r.UpdateWeighted(2, 0.125)
 	r.UpdateWeighted(1, 1e9)
-	var buf bytes.Buffer
-	if err := hh.EncodeWeightedSummary(&buf, r); err != nil {
-		t.Fatal(err)
+	dec := roundTrip(t, r)
+	if dec.Capacity() != 4 || dec.N() != r.N() {
+		t.Errorf("decoded meta = %d/%v, want 4/%v", dec.Capacity(), dec.N(), r.N())
 	}
-	blob, err := hh.DecodeWeightedSummary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blob.Capacity != 4 || blob.TotalWeight != r.TotalWeight() {
-		t.Errorf("blob meta = %d/%v", blob.Capacity, blob.TotalWeight)
-	}
-	want := r.WeightedEntries()
-	if len(blob.Entries) != len(want) {
-		t.Fatalf("entries = %d, want %d", len(blob.Entries), len(want))
-	}
-	for i := range want {
-		if blob.Entries[i] != want[i] {
-			t.Errorf("entry %d = %+v, want %+v", i, blob.Entries[i], want[i])
-		}
+	if !sameEntries(r, dec) {
+		t.Errorf("entries = %v, want %v", dec.Top(dec.Len()), r.Top(r.Len()))
 	}
 }
 
-func TestWeightedCodecRejectsUnitBlob(t *testing.T) {
-	ss := hh.NewSpaceSaving[uint64](4)
-	ss.Update(1)
-	var buf bytes.Buffer
-	if err := hh.EncodeSummary(&buf, ss); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hh.DecodeWeightedSummary(&buf); !errors.Is(err, hh.ErrBadSummary) {
-		t.Errorf("weighted decoder accepted unit blob: %v", err)
-	}
-}
-
+// TestWeightedCodecGarbage feeds a windowed weighted producer's
+// container cut at every byte, plus hand-built malformed headers.
 func TestWeightedCodecGarbage(t *testing.T) {
-	for _, raw := range [][]byte{nil, []byte("x"), []byte("HHSUM1\x03")} {
-		if _, err := hh.DecodeWeightedSummary(bytes.NewReader(raw)); err == nil {
-			t.Errorf("garbage %q decoded without error", raw)
+	src := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(4), hh.WithWindow(8), hh.WithEpochs(2))
+	for i := 0; i < 12; i++ {
+		src.UpdateWeighted(uint64(i%5), 0.5+float64(i))
+	}
+	var buf bytes.Buffer
+	if err := src.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("HHWIN2")) {
+		t.Fatalf("windowed summary encoded as %q, want an HHWIN2 container", buf.Bytes()[:6])
+	}
+	raws := [][]byte{
+		{'H', 'H', 'W', 'I', 'N', '2', 1, 1, 9},             // unknown window mode
+		{'H', 'H', 'W', 'I', 'N', '2', 1, 1, 1, 0, 1, 0, 0}, // zero epochs
+	}
+	for cut := 0; cut < buf.Len(); cut++ {
+		raws = append(raws, buf.Bytes()[:cut])
+	}
+	for _, raw := range raws {
+		if _, err := hh.Decode[uint64](bytes.NewReader(raw)); !errors.Is(err, hh.ErrBadSummary) {
+			t.Errorf("garbage %q: err = %v, want ErrBadSummary", raw, err)
 		}
 	}
 }
@@ -65,8 +60,8 @@ func TestMergeWeightedBlobsPipeline(t *testing.T) {
 	const m, k = 60, 8
 	ups := stream.WeightedZipf(300, 1.2, 200000, 3, 19)
 	truth := exact.New()
-	a := hh.NewSpaceSavingR[uint64](m)
-	b := hh.NewSpaceSavingR[uint64](m)
+	a := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(m))
+	b := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(m))
 	for i, u := range ups {
 		truth.UpdateWeighted(u.Item, u.Weight)
 		if i%2 == 0 {
@@ -75,81 +70,68 @@ func TestMergeWeightedBlobsPipeline(t *testing.T) {
 			b.UpdateWeighted(u.Item, u.Weight)
 		}
 	}
-	var bufA, bufB bytes.Buffer
-	if err := hh.EncodeWeightedSummary(&bufA, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := hh.EncodeWeightedSummary(&bufB, b); err != nil {
-		t.Fatal(err)
-	}
-	blobA, err := hh.DecodeWeightedSummary(&bufA)
+	merged, err := hh.MergeSummaries(m, roundTrip(t, a), roundTrip(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobB, err := hh.DecodeWeightedSummary(&bufB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := hh.MergeWeightedBlobs(m, blobA, blobB)
 	bound := hh.MergedGuarantee(hh.TailGuarantee{A: 1, B: 1}).Bound(m, k, truth.Res1(k))
 	for i := uint64(0); i < 300; i++ {
-		if d := math.Abs(truth.Freq(i) - merged.EstimateWeighted(i)); d > bound {
+		if d := math.Abs(truth.Freq(i) - merged.Estimate(i)); d > bound {
 			t.Errorf("item %d: error %v exceeds bound %v", i, d, bound)
+		}
+		if lo, hi := merged.EstimateBounds(i); truth.Freq(i) < lo-1e-6 || truth.Freq(i) > hi+1e-6 {
+			t.Errorf("item %d: true %v outside merged [%v, %v]", i, truth.Freq(i), lo, hi)
 		}
 	}
 }
 
 func TestWeightedCodecFrequentR(t *testing.T) {
-	f := hh.NewFrequentR[uint64](4)
+	f := hh.New[uint64](hh.WithWeighted(), hh.WithAlgorithm(hh.AlgoFrequent), hh.WithCapacity(4))
 	f.UpdateWeighted(7, 3.5)
-	var buf bytes.Buffer
-	if err := hh.EncodeWeightedSummary(&buf, f); err != nil {
-		t.Fatal(err)
+	dec := roundTrip(t, f)
+	if top := dec.Top(dec.Len()); len(top) != 1 || top[0].Count != 3.5 {
+		t.Errorf("decoded entries = %+v", top)
 	}
-	blob, err := hh.DecodeWeightedSummary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blob.Entries) != 1 || blob.Entries[0].Count != 3.5 {
-		t.Errorf("blob = %+v", blob)
+	if dec.Algorithm() != hh.AlgoFrequent {
+		t.Errorf("decoded algo %v, want frequent", dec.Algorithm())
 	}
 }
 
 func TestWeightedCodecRejectsNonFiniteAndNegative(t *testing.T) {
-	// A +Inf or negative total weight or entry count must die in the
-	// decoder as ErrBadSummary, not survive into FeedInto and panic the
+	// A +Inf or negative mass or entry count must die in the decoder as
+	// ErrBadSummary, not survive into a merge's refeed and panic the
 	// merging process (or hand consumers a negative mass). The single
-	// 3.5-weight update makes both the total-weight field (first 3.5 bit
+	// 3.5-weight update makes both the mass field (first 3.5 bit
 	// pattern) and the entry-count field (last) carry the same value, so
 	// each can be corrupted independently.
-	f := hh.NewFrequentR[uint64](4)
+	f := hh.New[uint64](hh.WithWeighted(), hh.WithAlgorithm(hh.AlgoFrequent), hh.WithCapacity(4))
 	f.UpdateWeighted(7, 3.5)
 	var buf bytes.Buffer
-	if err := hh.EncodeWeightedSummary(&buf, f); err != nil {
+	if err := f.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var le, inf, neg [8]byte
 	binary.LittleEndian.PutUint64(le[:], math.Float64bits(3.5))
 	binary.LittleEndian.PutUint64(inf[:], math.Float64bits(math.Inf(1)))
 	binary.LittleEndian.PutUint64(neg[:], math.Float64bits(-3.5))
-	totalOff := bytes.Index(buf.Bytes(), le[:])
+	massOff := bytes.Index(buf.Bytes(), le[:])
 	countOff := bytes.LastIndex(buf.Bytes(), le[:])
-	if totalOff < 0 || countOff <= totalOff {
-		t.Fatal("expected distinct total-weight and entry-count fields in encoding")
+	if massOff < 0 || countOff <= massOff {
+		t.Fatal("expected distinct mass and entry-count fields in encoding")
 	}
 	for _, tc := range []struct {
 		name string
 		off  int
 		bits [8]byte
 	}{
-		{"inf total", totalOff, inf},
-		{"negative total", totalOff, neg},
+		{"inf mass", massOff, inf},
+		{"negative mass", massOff, neg},
 		{"inf entry count", countOff, inf},
 		{"negative entry count", countOff, neg},
 	} {
 		raw := append([]byte(nil), buf.Bytes()...)
 		copy(raw[tc.off:], tc.bits[:])
-		if _, err := hh.DecodeWeightedSummary(bytes.NewReader(raw)); !errors.Is(err, hh.ErrBadSummary) {
+		if _, err := hh.Decode[uint64](bytes.NewReader(raw)); !errors.Is(err, hh.ErrBadSummary) {
 			t.Errorf("%s: decoded without ErrBadSummary: %v", tc.name, err)
 		}
 	}

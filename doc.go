@@ -34,9 +34,10 @@
 // the real-valued Section 6.1 variants. Spec is the JSON-portable twin
 // of the option list (NewFromSpec), used wherever summaries are built
 // from declarative configuration. The typed constructors
-// (NewSpaceSaving, NewFrequent, ...) and the free functions operating on
-// Counter values remain as a stable low-level surface for callers that
-// need a concrete algorithm type; new code should prefer New.
+// (NewSpaceSaving, NewFrequent, ...) and the paper-facing free functions
+// over Counter values (KSparseRecovery, EstimateResidual, EstimateBounds)
+// remain as a low-level surface for callers that need a concrete
+// algorithm type; everything else goes through New.
 //
 // Beyond point estimates the package exposes the paper's derived
 // machinery: k-sparse and m-sparse recovery of the frequency vector

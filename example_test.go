@@ -14,12 +14,12 @@ func Example() {
 		"to", "be", "or", "not", "to", "be", "that", "is",
 		"the", "question", "to", "be", "to", "not",
 	}
-	ss := hh.NewSpaceSaving[string](6)
+	s := hh.New[string](hh.WithCapacity(6))
 	for _, w := range words {
-		ss.Update(w)
+		s.Update(w)
 	}
-	for _, e := range hh.Top[string](ss, 2) {
-		fmt.Printf("%s %d\n", e.Item, e.Count)
+	for _, e := range s.Top(2) {
+		fmt.Printf("%s %.0f\n", e.Item, e.Count)
 	}
 	// Output:
 	// to 4
@@ -47,7 +47,7 @@ func ExampleNewSpaceSavingR() {
 	ss.UpdateWeighted("flow-a", 1500)
 	ss.UpdateWeighted("flow-b", 64)
 	ss.UpdateWeighted("flow-a", 9000)
-	top := hh.TopWeighted[string](ss, 1)
+	top := ss.AppendWeightedEntries(nil, 1)
 	fmt.Printf("%s %.0f\n", top[0].Item, top[0].Count)
 	// Output:
 	// flow-a 10500
@@ -55,17 +55,20 @@ func ExampleNewSpaceSavingR() {
 
 // Summaries built on separate streams merge into a summary of the union
 // (Theorem 11) — the basis for distributed aggregation.
-func ExampleMerge() {
-	shard1 := hh.NewSpaceSaving[string](8)
-	shard2 := hh.NewSpaceSaving[string](8)
+func ExampleMergeSummaries() {
+	shard1 := hh.New[string](hh.WithCapacity(8))
+	shard2 := hh.New[string](hh.WithCapacity(8))
 	for _, w := range []string{"x", "x", "y"} {
 		shard1.Update(w)
 	}
 	for _, w := range []string{"x", "z", "z", "z", "z"} {
 		shard2.Update(w)
 	}
-	merged := hh.Merge[string](8, 4, shard1, shard2)
-	for _, e := range hh.TopWeighted[string](merged, 2) {
+	merged, err := hh.MergeSummaries(8, shard1, shard2)
+	if err != nil {
+		panic(err)
+	}
+	for _, e := range merged.Top(2) {
 		fmt.Printf("%s %.0f\n", e.Item, e.Count)
 	}
 	// Output:
@@ -76,17 +79,17 @@ func ExampleMerge() {
 // The classical φ-heavy-hitters query: report everything possibly at or
 // above a frequency threshold, with certainty labels and no false
 // negatives.
-func ExampleHeavyHitters() {
-	ss := hh.NewSpaceSaving[string](8)
+func ExampleSummary_HeavyHitters() {
+	s := hh.New[string](hh.WithCapacity(8))
 	for i := 0; i < 7; i++ {
-		ss.Update("hot")
+		s.Update("hot")
 	}
 	for i := 0; i < 2; i++ {
-		ss.Update("warm")
+		s.Update("warm")
 	}
-	ss.Update("rare")
-	for _, h := range hh.HeavyHitters[string](ss, 0.2) { // threshold: 2 of 10
-		fmt.Printf("%s in [%d, %d] guaranteed=%v\n", h.Item, h.Lo, h.Hi, h.Guaranteed)
+	s.Update("rare")
+	for _, h := range s.HeavyHitters(0.2) { // threshold: 2 of 10
+		fmt.Printf("%s in [%.0f, %.0f] guaranteed=%v\n", h.Item, h.Lo, h.Hi, h.Guaranteed)
 	}
 	// Output:
 	// hot in [7, 7] guaranteed=true

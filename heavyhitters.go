@@ -28,12 +28,6 @@ type Counter[K comparable] = core.Algorithm[K]
 // updates (Section 6.1 of the paper): FREQUENTR or SPACESAVINGR.
 type WeightedCounter[K comparable] = core.WeightedAlgorithm[K]
 
-// WeightedSummary is the former name of WeightedCounter.
-//
-// Deprecated: use WeightedCounter, or build a weighted Summary with
-// New(WithWeighted()).
-type WeightedSummary[K comparable] = core.WeightedAlgorithm[K]
-
 // TailGuarantee carries the constants (A, B) of a summary's k-tail
 // guarantee: every error is at most A·F1^res(k)/(m − B·k). Both
 // SPACESAVING and FREQUENT provide (1, 1).
@@ -108,36 +102,6 @@ func NewCountMin(depth, width int, seed uint64) *CountMin {
 // deterministically. It panics if either dimension is < 1.
 func NewCountSketch(depth, width int, seed uint64) *CountSketch {
 	return sketch.NewCountSketch(depth, width, seed)
-}
-
-// Top returns the k largest counters of a summary in decreasing order.
-// Fewer than k entries are returned when the summary stores fewer.
-//
-// Deprecated: prefer Summary.Top on a summary built by New; Top remains
-// for code holding a concrete Counter.
-func Top[K comparable](s Counter[K], k int) []Entry[K] {
-	if k <= 0 {
-		return nil
-	}
-	es := s.Entries()
-	if k < len(es) {
-		es = es[:k]
-	}
-	return es
-}
-
-// TopWeighted is Top for real-valued summaries.
-//
-// Deprecated: prefer Summary.Top on a summary built with WithWeighted().
-func TopWeighted[K comparable](s WeightedCounter[K], k int) []WeightedEntry[K] {
-	if k <= 0 {
-		return nil
-	}
-	es := s.WeightedEntries()
-	if k < len(es) {
-		es = es[:k]
-	}
-	return es
 }
 
 // ErrorBound returns the k-tail error bound A·res/(m−Bk) a summary with

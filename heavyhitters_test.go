@@ -45,27 +45,27 @@ func TestConstructorsAndInterfaces(t *testing.T) {
 }
 
 func TestStringKeys(t *testing.T) {
-	ss := hh.NewSpaceSaving[string](4)
+	ss := hh.New[string](hh.WithCapacity(4))
 	for _, w := range []string{"the", "the", "quick", "the", "fox", "quick"} {
 		ss.Update(w)
 	}
-	top := hh.Top[string](ss, 2)
+	top := ss.Top(2)
 	if len(top) != 2 || top[0].Item != "the" || top[0].Count != 3 {
 		t.Errorf("Top = %v", top)
 	}
 }
 
 func TestTopTruncation(t *testing.T) {
-	f := hh.NewFrequent[uint64](10)
+	f := hh.New[uint64](hh.WithAlgorithm(hh.AlgoFrequent), hh.WithCapacity(10))
 	f.Update(1)
 	f.Update(2)
-	if got := hh.Top[uint64](f, 5); len(got) != 2 {
+	if got := f.Top(5); len(got) != 2 {
 		t.Errorf("Top(5) returned %d entries, want 2", len(got))
 	}
-	r := hh.NewSpaceSavingR[uint64](10)
+	r := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(10))
 	r.UpdateWeighted(1, 2)
-	if got := hh.TopWeighted[uint64](r, 5); len(got) != 1 {
-		t.Errorf("TopWeighted(5) returned %d entries, want 1", len(got))
+	if got := r.Top(5); len(got) != 1 {
+		t.Errorf("weighted Top(5) returned %d entries, want 1", len(got))
 	}
 }
 
@@ -156,8 +156,8 @@ func TestMergeEndToEnd(t *testing.T) {
 	const n, total, m, k = 300, 30000, 60, 8
 	s := stream.Zipf(n, 1.2, total, stream.OrderRandom, 11)
 	truth := exact.FromStream(s)
-	a := hh.NewSpaceSaving[uint64](m)
-	b := hh.NewSpaceSaving[uint64](m)
+	a := hh.New[uint64](hh.WithCapacity(m))
+	b := hh.New[uint64](hh.WithCapacity(m))
 	for i, x := range s {
 		if i%2 == 0 {
 			a.Update(x)
@@ -165,10 +165,13 @@ func TestMergeEndToEnd(t *testing.T) {
 			b.Update(x)
 		}
 	}
-	merged := hh.Merge[uint64](m, k, a, b)
+	merged, err := a.Merge(b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bound := hh.MergedGuarantee(hh.TailGuarantee{A: 1, B: 1}).Bound(m, k, truth.Res1(k))
 	for i := uint64(0); i < n; i++ {
-		if d := math.Abs(truth.Freq(i) - merged.EstimateWeighted(i)); d > bound {
+		if d := math.Abs(truth.Freq(i) - merged.Estimate(i)); d > bound {
 			t.Errorf("item %d: merged error %v exceeds bound %v", i, d, bound)
 		}
 	}
@@ -178,42 +181,53 @@ func TestMergeAllEndToEnd(t *testing.T) {
 	const n, total, m, k = 300, 60000, 150, 8
 	s := stream.Zipf(n, 1.1, total, stream.OrderRandom, 13)
 	truth := exact.FromStream(s)
-	a := hh.NewSpaceSaving[uint64](m)
-	b := hh.NewSpaceSaving[uint64](m)
-	for i, x := range s {
-		if i%2 == 0 {
-			a.Update(x)
-		} else {
-			b.Update(x)
-		}
+	// Three inputs, one of them sharded: MergeSummaries refeeds every
+	// stored counter of each.
+	parts := []hh.Summary[uint64]{
+		hh.New[uint64](hh.WithCapacity(m)),
+		hh.New[uint64](hh.WithCapacity(m)),
+		hh.New[uint64](hh.WithCapacity(m), hh.WithShards(3)),
 	}
-	merged := hh.MergeAll[uint64](m, a, b)
+	for i, x := range s {
+		parts[i%3].Update(x)
+	}
+	merged, err := hh.MergeSummaries(m, parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bound := hh.MergedGuarantee(hh.TailGuarantee{A: 1, B: 1}).Bound(m, k, truth.Res1(k))
 	for i := uint64(0); i < n; i++ {
-		if d := math.Abs(truth.Freq(i) - merged.EstimateWeighted(i)); d > bound {
+		if d := math.Abs(truth.Freq(i) - merged.Estimate(i)); d > bound {
 			t.Errorf("item %d: merged error %v exceeds bound %v", i, d, bound)
 		}
 	}
-	wa := hh.NewSpaceSavingR[uint64](10)
-	wb := hh.NewSpaceSavingR[uint64](10)
+	wa := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(10))
+	wb := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(10))
 	wa.UpdateWeighted(1, 2)
 	wb.UpdateWeighted(1, 3)
-	if got := hh.MergeAllWeighted[uint64](10, wa, wb).EstimateWeighted(1); got != 5 {
-		t.Errorf("MergeAllWeighted = %v, want 5", got)
+	wm, err := hh.MergeSummaries(10, wa, wb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := wm.Estimate(1); got != 5 {
+		t.Errorf("weighted merge = %v, want 5", got)
 	}
 }
 
 func TestMergeWeighted(t *testing.T) {
-	a := hh.NewSpaceSavingR[string](10)
-	b := hh.NewSpaceSavingR[string](10)
+	a := hh.New[string](hh.WithWeighted(), hh.WithCapacity(10))
+	b := hh.New[string](hh.WithWeighted(), hh.WithAlgorithm(hh.AlgoFrequent), hh.WithCapacity(10))
 	a.UpdateWeighted("x", 5)
 	b.UpdateWeighted("x", 3)
 	b.UpdateWeighted("y", 2)
-	merged := hh.MergeWeighted[string](10, 5, a, b)
-	if got := merged.EstimateWeighted("x"); got != 8 {
+	merged, err := a.Merge(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.Estimate("x"); got != 8 {
 		t.Errorf("merged x = %v, want 8", got)
 	}
-	if got := merged.EstimateWeighted("y"); got != 2 {
+	if got := merged.Estimate("y"); got != 2 {
 		t.Errorf("merged y = %v, want 2", got)
 	}
 }

@@ -375,6 +375,21 @@ func TestDynamicCreateAndErrors(t *testing.T) {
 	if err := bad.Create(ctx, hh.Spec{Capacity: -3}); err == nil {
 		t.Error("create with negative capacity succeeded")
 	}
+	// A spec whose snapshot blob would exceed the decoder's capacity
+	// limit is refused before anything is allocated.
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/huge",
+		strings.NewReader(`{"capacity": 4194304, "shards": 8}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("PUT of an undecodable capacity: status %d, want 400", resp.StatusCode)
+	}
 	if _, err := c.Push(ctx, []string{"a", "b", "a"}); err != nil {
 		t.Fatalf("push after create: %v", err)
 	}

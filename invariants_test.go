@@ -7,6 +7,7 @@ package heavyhitters_test
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -132,24 +133,23 @@ func TestPropertyResidualEstimateSandwich(t *testing.T) {
 func TestPropertyMergeCountConservation(t *testing.T) {
 	// Merging all counters of SPACESAVING summaries conserves the total
 	// stream mass when the merged structure does not evict (m large
-	// enough): Σ merged counters = N1 + N2.
+	// enough): Σ merged counters = N1 + N2 = merged N.
 	err := quick.Check(func(rawA, rawB []uint8) bool {
 		sA := smallStream(rawA, 16)
 		sB := smallStream(rawB, 16)
-		a := hh.NewSpaceSaving[uint64](32)
-		b := hh.NewSpaceSaving[uint64](32)
-		for _, x := range sA {
-			a.Update(x)
+		a := hh.New[uint64](hh.WithCapacity(32))
+		b := hh.New[uint64](hh.WithCapacity(32))
+		a.UpdateBatch(sA)
+		b.UpdateBatch(sB)
+		merged, err := hh.MergeSummaries(64, a, b)
+		if err != nil {
+			return false
 		}
-		for _, x := range sB {
-			b.Update(x)
-		}
-		merged := hh.MergeAll[uint64](64, a, b)
 		var sum float64
-		for _, e := range merged.WeightedEntries() {
+		for e := range merged.All() {
 			sum += e.Count
 		}
-		return sum == float64(len(sA)+len(sB))
+		return sum == float64(len(sA)+len(sB)) && merged.N() == sum
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -160,28 +160,17 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 	err := quick.Check(func(raw []uint8, mRaw uint8) bool {
 		m := int(mRaw)%12 + 1
 		s := smallStream(raw, 24)
-		ss := hh.NewSpaceSaving[uint64](m)
-		for _, x := range s {
-			ss.Update(x)
-		}
+		ss := hh.New[uint64](hh.WithCapacity(m))
+		ss.UpdateBatch(s)
 		var buf bytes.Buffer
-		if err := hh.EncodeSummary(&buf, ss); err != nil {
+		if err := ss.Encode(&buf); err != nil {
 			return false
 		}
-		blob, err := hh.DecodeSummary(&buf)
+		dec, err := hh.Decode[uint64](&buf)
 		if err != nil {
 			return false
 		}
-		want := ss.Entries()
-		if len(blob.Entries) != len(want) || blob.N != ss.N() {
-			return false
-		}
-		for i := range want {
-			if blob.Entries[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return dec.N() == ss.N() && sameEntries(ss, dec)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
@@ -240,14 +229,29 @@ func TestPropertyHeapAndListSameErrorBound(t *testing.T) {
 	}
 }
 
-// Quick sanity that stream generators and the concurrent wrapper compose
-// under the public API (integration smoke, distinct from unit paths).
+// Quick sanity that stream generators and the concurrency tier compose
+// under the public API (integration smoke, distinct from unit paths),
+// with batch writers racing a reader.
 func TestIntegrationConcurrentOnGeneratedStream(t *testing.T) {
 	s := stream.Zipf(1000, 1.2, 50000, stream.OrderRandom, 21)
-	c := hh.NewConcurrentUint64(4, 64)
+	c := concurrentSharded[uint64](4, 64)
 	truth := exact.FromStream(s)
-	for _, x := range s {
-		c.Update(x)
+	const writers = 4
+	per := len(s) / writers
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(part []uint64) {
+			defer wg.Done()
+			for lo := 0; lo < len(part); lo += 500 {
+				c.UpdateBatch(part[lo:min(lo+500, len(part))])
+				c.Top(5)
+			}
+		}(s[w*per : (w+1)*per])
+	}
+	wg.Wait()
+	if c.N() != float64(len(s)) {
+		t.Fatalf("N = %v, want %d", c.N(), len(s))
 	}
 	top := c.Top(5)
 	if len(top) != 5 {

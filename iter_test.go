@@ -18,9 +18,8 @@ import (
 
 // iterBackends enumerates one summary per backend flavor: unit
 // (streaming and buffered), weighted, sketch, sharded, windowed,
-// decayed, and the Concurrent bridge.
+// decayed, and the concurrency tier over several of them.
 func iterBackends() map[string]hh.Summary[uint64] {
-	c := hh.NewConcurrentUint64(4, 64)
 	return map[string]hh.Summary[uint64]{
 		"unit-spacesaving":   hh.New[uint64](hh.WithCapacity(64)),
 		"unit-frequent":      hh.New[uint64](hh.WithAlgorithm(hh.AlgoFrequent), hh.WithCapacity(64)),
@@ -30,7 +29,6 @@ func iterBackends() map[string]hh.Summary[uint64] {
 		"sharded":            hh.New[uint64](hh.WithCapacity(64), hh.WithShards(4)),
 		"window":             hh.New[uint64](hh.WithCapacity(64), hh.WithWindow(2048), hh.WithEpochs(4)),
 		"decay":              hh.New[uint64](hh.WithCapacity(64), hh.WithDecay(0.0001)),
-		"concurrent-bridge":  c.Summary(),
 		"concurrent":         hh.New[uint64](hh.WithCapacity(64), hh.WithConcurrent()),
 		"concurrent-sharded": hh.New[uint64](hh.WithCapacity(64), hh.WithConcurrent(), hh.WithShards(4)),
 		"concurrent-window": hh.New[uint64](hh.WithCapacity(64), hh.WithConcurrent(),
@@ -97,10 +95,19 @@ func TestAllEarlyTermination(t *testing.T) {
 }
 
 // TestAllEarlyTerminationShardedRace is the -race variant: concurrent
-// Update traffic on the sharded backend while the iterator is abandoned
-// mid-flight, repeatedly.
+// Update traffic on the sharded backend, locked and behind the
+// concurrency tier, while the iterator is abandoned mid-flight,
+// repeatedly.
 func TestAllEarlyTerminationShardedRace(t *testing.T) {
-	s := hh.New[uint64](hh.WithCapacity(64), hh.WithShards(8))
+	for name, s := range map[string]hh.Summary[uint64]{
+		"sharded":            hh.New[uint64](hh.WithCapacity(64), hh.WithShards(8)),
+		"concurrent-sharded": concurrentSharded[uint64](8, 64),
+	} {
+		t.Run(name, func(t *testing.T) { abandonIterationsUnderWrites(t, s) })
+	}
+}
+
+func abandonIterationsUnderWrites(t *testing.T, s hh.Summary[uint64]) {
 	str := stream.Zipf(500, 1.1, 20000, stream.OrderRandom, 37)
 	s.UpdateBatch(str)
 

@@ -1,72 +1,10 @@
 package heavyhitters
 
-import (
-	"repro/internal/core"
-	"repro/internal/merge"
-)
-
-// This file exposes Section 6.2 on the public API: merging summaries of
-// separate streams into a summary of their union.
-
-// Deprecated: prefer MergeSummaries (or Summary.Merge), which carries
-// per-item error metadata into the result; Merge remains for code
-// holding concrete Counter values and for the literal k-sparse
-// construction.
-//
-// Merge combines summaries of ℓ separate streams into one summary of the
-// union (Theorem 11): the k-sparse recovery of each input is fed, as
-// weighted updates, into a fresh SPACESAVINGR with m counters. If every
-// input provides a k-tail guarantee with constants (A, B), the result
-// provides (3A, A+B) — so for SPACESAVING/FREQUENT inputs, picking m a
-// small constant factor larger recovers the single-stream bound.
-func Merge[K comparable](m, k int, summaries ...Counter[K]) *SpaceSavingR[K] {
-	entries := make([][]core.Entry[K], len(summaries))
-	for i, s := range summaries {
-		entries[i] = s.Entries()
-	}
-	return merge.KSparse(m, k, entries...)
-}
-
-// MergeWeighted merges real-valued summaries the same way.
-func MergeWeighted[K comparable](m, k int, summaries ...WeightedCounter[K]) *SpaceSavingR[K] {
-	entries := make([][]core.WeightedEntry[K], len(summaries))
-	for i, s := range summaries {
-		entries[i] = s.WeightedEntries()
-	}
-	return merge.KSparseWeighted(m, k, entries...)
-}
-
-// Deprecated: prefer MergeSummaries (or Summary.Merge), the same
-// construction on the unified surface with error metadata carried
-// through.
-//
-// MergeAll merges summaries by refeeding every stored counter instead of
-// only the top k. It is the recommended merge in practice: with
-// homogeneous shards the union's (k+1)-th item can be dropped from every
-// k-sparse recovery, making Merge's error at least f_{k+1}, which for
-// m ≫ k marginally exceeds the Theorem 11 bound (a boundary finding of
-// this reproduction; see EXPERIMENTS.md E9). MergeAll keeps the bound for
-// every item because an item a shard's summary dropped entirely has
-// frequency at most that shard's own error bound.
-func MergeAll[K comparable](m int, summaries ...Counter[K]) *SpaceSavingR[K] {
-	entries := make([][]core.Entry[K], len(summaries))
-	for i, s := range summaries {
-		entries[i] = s.Entries()
-	}
-	return merge.MSparse(m, entries...)
-}
-
-// MergeAllWeighted is MergeAll for real-valued summaries.
-func MergeAllWeighted[K comparable](m int, summaries ...WeightedCounter[K]) *SpaceSavingR[K] {
-	entries := make([][]core.WeightedEntry[K], len(summaries))
-	for i, s := range summaries {
-		entries[i] = s.WeightedEntries()
-	}
-	return merge.MSparseWeighted(m, entries...)
-}
+import "repro/internal/merge"
 
 // MergedGuarantee maps per-summary tail constants (A, B) to the merged
-// summary's (3A, A+B) of Theorem 11.
+// summary's (3A, A+B) of Theorem 11 — the guarantee MergeSummaries
+// advertises for its result.
 func MergedGuarantee(g TailGuarantee) TailGuarantee {
 	return merge.MergedGuarantee(g)
 }

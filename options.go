@@ -85,7 +85,10 @@ func WithAlgorithm(a Algo) Option {
 // WithCapacity sets m, the counter budget (for sketches: the width of
 // each row). Every estimate of an HTC algorithm with m counters is then
 // within F1^res(k)/(m − k) of the truth for every k < m (Theorem 2).
-// Mutually exclusive with WithErrorBudget.
+// Mutually exclusive with WithErrorBudget. For counter algorithms New
+// panics when the encoded form could hold more than 2^24 counters —
+// m × shards, times the epoch count for a sharded window — because
+// Decode would reject that blob.
 func WithCapacity(m int) Option {
 	return func(c *config) {
 		c.m = m
@@ -417,6 +420,11 @@ func (c *config) resolve() error {
 			c.epochs = int(c.window)
 		}
 	}
+	if c.algo.deterministic() {
+		if c.encodedCapacity() > maxEncodedCapacity {
+			return fmt.Errorf("heavyhitters: capacity %d, shards %d, epochs %d: the encoded summary could exceed 2^24 counters, the most Decode accepts", c.m, c.shards, c.epochs)
+		}
+	}
 	if c.pipeline && c.shards < 1 {
 		return fmt.Errorf("heavyhitters: WithPipeline requires WithShards")
 	}
@@ -437,6 +445,19 @@ func (c *config) resolve() error {
 		}
 	}
 	return nil
+}
+
+// encodedCapacity bounds the counter capacity Encode can write for the
+// resolved composition: every shard's counters travel in one flat
+// frame, and a sharded window flattens each shard's whole epoch ring
+// (an unsharded window frames its epochs one by one, m counters each).
+// Computed in float64 so absurd option values cannot overflow.
+func (c *config) encodedCapacity() float64 {
+	enc := float64(c.m) * float64(max(c.shards, 1))
+	if c.windowed() && c.shards > 0 {
+		enc *= float64(c.epochs)
+	}
+	return enc
 }
 
 // DurabilitySpec is the JSON-portable durability configuration: the

@@ -1,64 +1,9 @@
 package heavyhitters
 
-// This file implements the classical φ-heavy-hitters query on top of the
-// summaries: report every item whose frequency may exceed φ·N. The
-// per-item interval bounds (EstimateBounds) make the answer exact in the
-// following sense:
-//
-//   - no false negatives: every stored item with f_i ≥ φN is reported
-//     (and with m > 1/φ counters every item with f_i ≥ φN is stored —
-//     its frequency exceeds both algorithms' maximum possible error);
-//   - labelled positives: a reported item is Guaranteed when even its
-//     lower bound clears the threshold, i.e. it is certainly a heavy
-//     hitter; remaining reports are possible heavy hitters whose true
-//     frequency lies within [Lo, Hi].
-
-// HeavyHitter is one φ-heavy-hitter candidate: the item, certain bounds
-// on its frequency, and whether the lower bound already clears the
-// threshold.
-type HeavyHitter[K comparable] struct {
-	Item K
-	// Lo and Hi bound the true frequency: Lo ≤ f ≤ Hi.
-	Lo, Hi uint64
-	// Guaranteed reports Lo ≥ ⌈φN⌉: the item is certainly above the
-	// threshold.
-	Guaranteed bool
-}
-
-// HeavyHitters returns the items whose frequency may reach phi·N, in
-// decreasing order of upper bound. phi must lie in (0, 1]. For exactness
-// guarantees choose m > 1/phi (the classical sizing; the paper's results
-// say m = k + F1_res(k)/(phi·N) already suffices on skewed data).
-//
-// Deprecated: prefer Summary.HeavyHitters on a summary built by New,
-// which also covers weighted, sharded and sketch backends; this free
-// function remains for code holding a concrete Counter.
-func HeavyHitters[K comparable](s Counter[K], phi float64) []HeavyHitter[K] {
-	if phi <= 0 || phi > 1 {
-		panic("heavyhitters: phi must be in (0, 1]")
-	}
-	threshold := phi * float64(s.N())
-	var out []HeavyHitter[K]
-	for _, e := range s.Entries() {
-		lo, hi := EstimateBounds(s, e.Item)
-		if float64(hi) >= threshold {
-			out = append(out, HeavyHitter[K]{
-				Item:       e.Item,
-				Lo:         lo,
-				Hi:         hi,
-				Guaranteed: float64(lo) >= threshold,
-			})
-		}
-	}
-	// Entries() is sorted by decreasing count; for SPACESAVING the count
-	// is the upper bound, and for FREQUENT upper bounds share the +d
-	// offset, so the order is already by decreasing Hi.
-	return out
-}
-
 // CountersForHeavyHitters returns the classical counter budget ⌈1/φ⌉ + 1
 // that guarantees every φ-heavy hitter is stored (its frequency exceeds
-// the maximum possible estimation error F1/m).
+// the maximum possible estimation error F1/m), so Summary.HeavyHitters
+// has no false negatives. WithErrorBudget sizes from it.
 func CountersForHeavyHitters(phi float64) int {
 	if phi <= 0 || phi > 1 {
 		panic("heavyhitters: phi must be in (0, 1]")

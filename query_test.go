@@ -10,7 +10,7 @@ import (
 )
 
 func TestHeavyHittersBasic(t *testing.T) {
-	ss := hh.NewSpaceSaving[string](8)
+	ss := hh.New[string](hh.WithCapacity(8))
 	for i := 0; i < 60; i++ {
 		ss.Update("hot")
 	}
@@ -21,7 +21,7 @@ func TestHeavyHittersBasic(t *testing.T) {
 		ss.Update("cool")
 	}
 	// N = 100; phi = 0.2 → threshold 20.
-	hits := hh.HeavyHitters[string](ss, 0.2)
+	hits := ss.HeavyHitters(0.2)
 	if len(hits) != 2 {
 		t.Fatalf("got %d heavy hitters, want 2: %v", len(hits), hits)
 	}
@@ -35,26 +35,31 @@ func TestHeavyHittersBasic(t *testing.T) {
 
 func TestHeavyHittersNoFalseNegativesProperty(t *testing.T) {
 	// With m = 1/phi + 1 counters, every item with f >= phi*N must be
-	// reported — for both algorithms, on arbitrary streams.
+	// reported — for both algorithms, unsharded and sharded, on
+	// arbitrary streams.
 	const phi = 0.125
 	err := quick.Check(func(raw []uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		m := hh.CountersForHeavyHitters(phi)
-		ss := hh.NewSpaceSaving[uint64](m)
-		fr := hh.NewFrequent[uint64](m)
+		summaries := []hh.Summary[uint64]{
+			hh.New[uint64](hh.WithCapacity(m)),
+			hh.New[uint64](hh.WithAlgorithm(hh.AlgoFrequent), hh.WithCapacity(m)),
+			concurrentSharded[uint64](3, m),
+		}
 		truth := exact.New()
 		for _, b := range raw {
 			x := uint64(b) % 20
-			ss.Update(x)
-			fr.Update(x)
+			for _, s := range summaries {
+				s.Update(x)
+			}
 			truth.Update(x)
 		}
 		threshold := phi * truth.F1()
-		for _, s := range []hh.Counter[uint64]{ss, fr} {
+		for _, s := range summaries {
 			reported := map[uint64]bool{}
-			for _, h := range hh.HeavyHitters[uint64](s, phi) {
+			for _, h := range s.HeavyHitters(phi) {
 				reported[h.Item] = true
 			}
 			for i := uint64(0); i < 20; i++ {
@@ -75,28 +80,26 @@ func TestHeavyHittersGuaranteedAreTrue(t *testing.T) {
 	const phi = 0.01
 	s := stream.Zipf(1000, 1.2, 100000, stream.OrderRandom, 7)
 	truth := exact.FromStream(s)
-	ss := hh.NewSpaceSaving[uint64](hh.CountersForHeavyHitters(phi))
-	for _, x := range s {
-		ss.Update(x)
-	}
-	threshold := phi * truth.F1()
-	for _, h := range hh.HeavyHitters[uint64](ss, phi) {
-		if h.Guaranteed && truth.Freq(h.Item) < threshold {
-			t.Errorf("item %d guaranteed but true frequency %v < %v", h.Item, truth.Freq(h.Item), threshold)
-		}
-		if float64(h.Lo) > truth.Freq(h.Item) || truth.Freq(h.Item) > float64(h.Hi) {
-			t.Errorf("item %d: true %v outside [%d, %d]", h.Item, truth.Freq(h.Item), h.Lo, h.Hi)
+	for _, algo := range []hh.Algo{hh.AlgoSpaceSaving, hh.AlgoFrequent} {
+		ss := hh.New[uint64](hh.WithAlgorithm(algo), hh.WithCapacity(hh.CountersForHeavyHitters(phi)))
+		ss.UpdateBatch(s)
+		threshold := phi * truth.F1()
+		for _, h := range ss.HeavyHitters(phi) {
+			if h.Guaranteed && truth.Freq(h.Item) < threshold {
+				t.Errorf("%v: item %d guaranteed but true frequency %v < %v", algo, h.Item, truth.Freq(h.Item), threshold)
+			}
+			if h.Lo > truth.Freq(h.Item) || truth.Freq(h.Item) > h.Hi {
+				t.Errorf("%v: item %d: true %v outside [%v, %v]", algo, h.Item, truth.Freq(h.Item), h.Lo, h.Hi)
+			}
 		}
 	}
 }
 
 func TestHeavyHittersSortedByUpperBound(t *testing.T) {
 	s := stream.Zipf(200, 1.3, 20000, stream.OrderRandom, 3)
-	ss := hh.NewSpaceSaving[uint64](50)
-	for _, x := range s {
-		ss.Update(x)
-	}
-	hits := hh.HeavyHitters[uint64](ss, 0.01)
+	ss := hh.New[uint64](hh.WithCapacity(50), hh.WithShards(4))
+	ss.UpdateBatch(s)
+	hits := ss.HeavyHitters(0.01)
 	for i := 1; i < len(hits); i++ {
 		if hits[i].Hi > hits[i-1].Hi {
 			t.Fatalf("hits not sorted by upper bound: %v", hits)
@@ -105,7 +108,7 @@ func TestHeavyHittersSortedByUpperBound(t *testing.T) {
 }
 
 func TestHeavyHittersPanics(t *testing.T) {
-	ss := hh.NewSpaceSaving[uint64](4)
+	ss := hh.New[uint64](hh.WithCapacity(4))
 	for _, phi := range []float64{0, -0.5, 1.5} {
 		func() {
 			defer func() {
@@ -113,7 +116,7 @@ func TestHeavyHittersPanics(t *testing.T) {
 					t.Errorf("phi=%v did not panic", phi)
 				}
 			}()
-			hh.HeavyHitters[uint64](ss, phi)
+			ss.HeavyHitters(phi)
 		}()
 	}
 	func() {

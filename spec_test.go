@@ -72,6 +72,44 @@ func TestSpecTickWindowAndErrors(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsUndecodableCapacity: a spec whose summary could encode
+// more counters than Decode accepts (2^24) must fail at construction —
+// otherwise a daemon could create a summary it can neither snapshot-
+// recover nor ship to hhmerge. Every rejected case is refused before
+// any structure is built; the first is also cheap to build, so on code
+// without the check the test fails there without allocating a
+// cap-sized summary.
+func TestSpecRejectsUndecodableCapacity(t *testing.T) {
+	const limit = 1 << 24 // the decoder's capacity limit
+	for _, sp := range []hh.Spec{
+		{Algorithm: "lossycounting", Capacity: limit + 1},
+		{Capacity: limit + 1},
+		{Weighted: true, Algorithm: "frequent", Capacity: limit + 1},
+		{Capacity: 4194304, Shards: 8, Concurrent: true},
+		{Epsilon: 1.0 / (limit * 2)},
+		{Epsilon: 1.0 / (limit / 4), Shards: 8},
+		{Capacity: limit / 16, Shards: 4, Window: 1 << 30, Epochs: 8},
+	} {
+		if _, err := hh.NewFromSpec[string](sp); err == nil {
+			t.Fatalf("NewFromSpec accepted %+v, whose encoding Decode rejects", sp)
+		}
+	}
+	// At the limit the blob still decodes (LOSSYCOUNTING does not
+	// pre-size its table, so this builds nothing cap-sized).
+	s, err := hh.NewFromSpec[string](hh.Spec{Algorithm: "lossycounting", Capacity: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Update("a")
+	var buf bytes.Buffer
+	if err := s.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hh.Decode[string](&buf); err != nil {
+		t.Errorf("blob at the capacity limit: %v", err)
+	}
+}
+
 // TestSniffBlob covers the header sniffing consumers use to route
 // unknown blobs to the right Decode instantiation.
 func TestSniffBlob(t *testing.T) {

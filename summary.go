@@ -479,11 +479,13 @@ func (s *summary[K]) String() string {
 
 // MergeSummaries combines any number of counter-backed summaries into a
 // fresh m-counter summary of the union of their streams — the Section
-// 6.2 construction, refeeding every stored counter (the robust MergeAll
-// variant; see that function's note on why it is preferred over the
-// literal k-sparse merge). Per-item error metadata and upper slack are
-// carried through, so EstimateBounds on the result remain certain
-// bounds; because any item may have gone unseen by an input that was
+// 6.2 construction, refeeding every stored counter rather than only
+// each input's k-sparse recovery: with homogeneous inputs the union's
+// (k+1)-th item can drop out of every k-sparse recovery, making the
+// literal merge's error at least f_{k+1}, while an item an input
+// dropped entirely weighs at most that input's own error bound.
+// Per-item error metadata and upper slack are carried through, so
+// EstimateBounds on the result remain certain bounds; because any item may have gone unseen by an input that was
 // full (a SPACESAVING input's unseen mass per item is at most its
 // minimum counter Δ), every upper bound widens by the sum of the
 // inputs' Δ-floors — the honest price of certainty after a merge. The

@@ -583,31 +583,6 @@ func TestCodecV2RejectsSketchAndStruct(t *testing.T) {
 	}
 }
 
-func TestFromBlobPreservesErrs(t *testing.T) {
-	legacy := hh.NewSpaceSaving[uint64](4)
-	for _, x := range []uint64{1, 1, 1, 2, 3, 4, 5, 6} {
-		legacy.Update(x)
-	}
-	var buf bytes.Buffer
-	if err := hh.EncodeSummary(&buf, legacy); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := hh.DecodeSummary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := hh.FromBlob(0, blob)
-	for _, e := range legacy.Entries() {
-		if got := s.Estimate(e.Item); got != float64(e.Count) {
-			t.Errorf("item %d: %v, want %d", e.Item, got, e.Count)
-		}
-		lo, _ := s.EstimateBounds(e.Item)
-		if want := float64(e.Count - e.Err); lo != want {
-			t.Errorf("item %d: lo = %v, want %v", e.Item, lo, want)
-		}
-	}
-}
-
 func TestMergedBoundsCoverEvictedItems(t *testing.T) {
 	// An item a full input evicted may carry up to that input's minimum
 	// counter; the merged upper bound must cover it (code-review repro).
@@ -878,15 +853,10 @@ func TestTopNonPositiveK(t *testing.T) {
 	if got := s.Top(-1); got != nil {
 		t.Errorf("Top(-1) = %v, want nil", got)
 	}
-	legacy := hh.NewSpaceSaving[uint64](8)
-	legacy.Update(1)
-	if got := hh.Top[uint64](legacy, -1); got != nil {
-		t.Errorf("legacy Top(-1) = %v, want nil", got)
-	}
-	weighted := hh.NewSpaceSavingR[uint64](8)
+	weighted := hh.New[uint64](hh.WithWeighted(), hh.WithCapacity(8))
 	weighted.UpdateWeighted(1, 2.5)
-	if got := hh.TopWeighted[uint64](weighted, -1); got != nil {
-		t.Errorf("legacy TopWeighted(-1) = %v, want nil", got)
+	if got := weighted.Top(-1); got != nil {
+		t.Errorf("weighted Top(-1) = %v, want nil", got)
 	}
 }
 

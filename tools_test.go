@@ -248,6 +248,13 @@ func TestToolsStdinPipeline(t *testing.T) {
 	if err := dup.Run(); err == nil {
 		t.Error("hhmerge accepted '-' twice")
 	}
+
+	// Anything but an HHSUM2/HHWIN2 blob is refused with the accepted
+	// formats named.
+	out, err = exec.Command(hhmerge, shard).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "HHSUM2 or HHWIN2") {
+		t.Errorf("hhmerge on a raw stream file: err %v, output:\n%s", err, out)
+	}
 }
 
 func TestToolsWeightedPipeline(t *testing.T) {
