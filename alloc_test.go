@@ -212,7 +212,7 @@ func TestShardedHotPathZeroAllocs(t *testing.T) {
 
 // TestCoalescedIngestZeroAllocs pins the in-batch coalescing path: the
 // open-addressing scratch table, per-shard key/hash/count arrays, and
-// the AddNBatch two-pass kernels must all run out of pooled memory at
+// the AddNBatch kernels must all run out of pooled memory at
 // steady state — on dup-heavy batches and on the all-distinct worst
 // case alike.
 func TestCoalescedIngestZeroAllocs(t *testing.T) {

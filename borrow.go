@@ -18,13 +18,16 @@ import (
 // candidates never clone, so for skewed streams only the insertion
 // tail (a small fraction of arrivals) pays.
 //
-// Arena interplay (WithArena): on an arena-backed summary no clone
-// hook is installed at all. The arena's Put interns the key bytes
-// straight into its slabs and the structure stores the slab-aliased
-// view, so a borrowed key is copied exactly once — from the caller's
-// buffer into the slab — with no intermediate heap string and no
-// clone cache. summary.go wires this: the hook is built only when
-// EnableArena declined (non-string keys) or arena is off.
+// Arena interplay: the unit-weight SPACESAVING and FREQUENT structures
+// take no clone hook at all. Their key index (internal/arena) interns
+// string keys straight into its slabs and the structure stores the
+// slab-aliased view, so a borrowed key is copied exactly once — from
+// the caller's buffer into the slab — with no intermediate heap string
+// and no clone cache; pointer-free keys are held by value. The hook
+// below serves the map-keyed structures: the weighted variants,
+// LOSSYCOUNTING and the sketch candidate tracker. newBackend still
+// builds it for every borrowed-key composition, which is also what
+// rejects key types that cannot be cloned.
 
 // newKeyCloner builds the per-structure clone hook for key type K, or
 // nil when K needs no cloning (pointer-free types own their bytes).

@@ -83,7 +83,7 @@ func TestCrashKillNineRecovery(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 	_ = s.cmd.Process.Kill() // SIGKILL: no drain, no final snapshot
-	_ = s.cmd.Wait()
+	s.wait()
 
 	// Restart on the same data directory.
 	s2 := bootServerd(t, cfg, "-wire-addr", "127.0.0.1:0")
@@ -142,7 +142,7 @@ func TestCrashKillNineRecovery(t *testing.T) {
 	// Second kill -9 with NO new ingest: replaying the same tail again
 	// must change nothing — the daemon-level replay-idempotence pin.
 	_ = s2.cmd.Process.Kill()
-	_ = s2.cmd.Wait()
+	s2.wait()
 	s3 := bootServerd(t, cfg, "-wire-addr", "127.0.0.1:0")
 	waitHealthy(t, s3.base)
 	top3, err := client.New(s3.base, "crash").Top(ctx, 10)
@@ -190,7 +190,7 @@ func TestCrashGracefulDrain(t *testing.T) {
 	if err := s.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	_ = s.cmd.Wait()
+	s.wait()
 	if out := s.stdoutText(); !strings.Contains(out, "final snapshot committed") {
 		t.Fatalf("drain did not report a final snapshot; stdout:\n%s", out)
 	}

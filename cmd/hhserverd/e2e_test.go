@@ -39,6 +39,18 @@ type serverd struct {
 	// tests' assertions.
 	mu  sync.Mutex
 	out strings.Builder //hh:guardedby mu
+	// drained closes when the stdout drain reaches EOF (the process
+	// exited), so wait can read every last line before cmd.Wait closes
+	// the pipe.
+	drained chan struct{}
+}
+
+// wait reaps the exited daemon after its stdout is fully drained:
+// cmd.Wait closes the stdout pipe, and calling it first could drop the
+// final lines (the drain summary) before the drain goroutine reads them.
+func (s *serverd) wait() {
+	<-s.drained
+	_ = s.cmd.Wait()
 }
 
 // stdoutText returns everything the daemon printed after the startup
@@ -119,7 +131,7 @@ func bootServerd(t *testing.T, configJSON string, extraArgs ...string) *serverd 
 		}
 		return strings.Fields(line[i+len(marker):])[0]
 	}
-	s := &serverd{cmd: cmd}
+	s := &serverd{cmd: cmd, drained: make(chan struct{})}
 	s.base = "http://" + readAddr("listening on ")
 	for _, a := range extraArgs {
 		switch a {
@@ -130,6 +142,7 @@ func bootServerd(t *testing.T, configJSON string, extraArgs ...string) *serverd 
 		}
 	}
 	go func() { // drain (and record) so the child never blocks on a full pipe
+		defer close(s.drained)
 		for sc.Scan() {
 			s.mu.Lock()
 			s.out.WriteString(sc.Text())

@@ -189,7 +189,7 @@ func TestE2EWireReconnect(t *testing.T) {
 	// Kill the daemon (summaries are in-memory: the restarted process
 	// starts from zero) and boot a replacement on the same wire port.
 	_ = s.cmd.Process.Kill()
-	_ = s.cmd.Wait()
+	s.wait()
 	s2 := bootServerd(t, wireConfig, "-wire-addr", wireAddr)
 	waitHealthy(t, s2.base)
 

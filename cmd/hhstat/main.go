@@ -83,7 +83,7 @@ func reportSummary[K comparable](s hh.Summary[K], k int) {
 		fmt.Fprintf(tw, "k-tail error bound\t%.1f\n", hh.ErrorBound(g, s.Capacity(), k, res))
 	}
 	// For string-keyed blobs, the steady-state footprint this summary
-	// would occupy hosted arena-backed (hhserverd's configuration):
+	// would occupy hosted in hhserverd's arena index:
 	// class-rounded slab bytes for the stored keys plus the
 	// open-addressing index sized for the counter budget.
 	var keyBytes uint64

@@ -133,7 +133,7 @@ func decodeWindowBody[K comparable](br *bufio.Reader, wantKind byte) (Summary[K]
 		return nil, fmt.Errorf("%w: unreasonable epoch duration", ErrBadSummary)
 	}
 	b := &windowBackend[K]{
-		ring: make([]backend[K], epochs),
+		ring: make([]leafBackend[K], epochs),
 		live: int(live),
 		cur:  int(live) - 1,
 		agg:  make(map[K]int),

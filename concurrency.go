@@ -186,18 +186,6 @@ func (t *concurrentTier[K]) updateBatch(items []K, hashes []uint64) {
 }
 
 //hh:noalloc
-func (t *concurrentTier[K]) updateBatchN(items []K, counts []uint32, hashes []uint64) {
-	if t.selfLocked {
-		t.inner.updateBatchN(items, counts, hashes)
-	} else {
-		t.wmu.Lock()
-		t.inner.updateBatchN(items, counts, hashes)
-		t.wmu.Unlock()
-	}
-	t.gen.Add(1)
-}
-
-//hh:noalloc
 func (t *concurrentTier[K]) reset() {
 	if t.selfLocked {
 		// Per-shard locking: not atomic against concurrent writers (the
@@ -436,11 +424,6 @@ func (s *concurrentSnapshot[K]) updateWeighted(K, float64) {
 
 //hh:noalloc
 func (s *concurrentSnapshot[K]) updateBatch([]K, []uint64) {
-	panic("heavyhitters: write through snapshot")
-}
-
-//hh:noalloc
-func (s *concurrentSnapshot[K]) updateBatchN([]K, []uint32, []uint64) {
 	panic("heavyhitters: write through snapshot")
 }
 

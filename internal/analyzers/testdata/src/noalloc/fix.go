@@ -52,9 +52,8 @@ func waivedMake(n int) []int {
 }
 
 // scratch mirrors the batch-coalescing buffers (summary.go's
-// coalesceScratch) and the two-pass kernels' probe scratch: pooled
-// per-shard slice-of-slices grown through indexed self-append, and a
-// flat hint buffer recycled by reslice. Both must stay admissible —
+// coalesceScratch): pooled per-shard slice-of-slices grown through
+// indexed self-append, and a flat buffer recycled by reslice. Both must stay admissible —
 // the contract is amortized-zero growth of storage the scratch owns.
 type scratch struct {
 	keys  [][]int

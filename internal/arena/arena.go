@@ -1,12 +1,13 @@
-// Package arena provides the pointer-free key storage behind the
-// string-keyed counter structures: an append-only byte-slab allocator
-// (Arena) addressing keys as packed (slab, offset) references, and an
-// open-addressing hash index (StringIndex) that replaces map[string]int32
-// on the hot path. Together they make a summary's steady-state heap
-// O(1) objects in the counter budget m: the slabs, the slot array and
-// the node slabs are a handful of large allocations, against the
-// per-key string object plus map bucket of the map path — which is
-// what dominates GC scan time at registry scale.
+// Package arena provides the key storage behind the counter
+// structures: Index, one open-addressing hash index for every key kind,
+// and Arena, the append-only byte-slab allocator it interns string keys
+// into, addressing them as packed (slab, offset) references. Fixed-size
+// keys sit inline in the index's table, which is pointer-free whenever
+// the key type is. Together they make a summary's steady-state heap
+// O(1) objects in the counter budget m: the slabs, the table and the
+// node slabs are a handful of large allocations, against a per-key
+// string object plus map bucket — which is what dominates GC scan time
+// at registry scale.
 //
 // Design choices, and why:
 //
@@ -22,10 +23,13 @@
 //     addressable key bytes per structure, far beyond the int32 node
 //     indices the counter slabs already impose. Keys longer than a slab
 //     get a dedicated slab (offset 0) and are recycled first-fit.
-//   - The index uses linear probing with the full 64-bit hash cached per
-//     slot (probes compare hashes before touching key bytes) and
-//     tombstone-free backward-shift deletion, so lookup cost does not
-//     degrade as evictions churn the table. Growth doubles the slot
+//   - The index uses linear probing in Robin Hood order with a 32-bit
+//     hash tag cached per record (probes compare tags before touching
+//     key bytes, and stop at the first record nearer its home than the
+//     probe, so a miss — every SPACESAVING eviction starts with one —
+//     costs about what a hit does) and tombstone-free backward-shift
+//     deletion, so lookup cost does not degrade as evictions churn the
+//     table. Growth doubles the slot
 //     array with a stop-the-world rehash: the counter structures hold
 //     at most m live keys and the index is pre-sized for m at
 //     construction, so rehash never fires on the steady-state path —
@@ -46,7 +50,7 @@ const (
 	SlabSize = 1 << slabShift
 	posMask  = SlabSize - 1
 
-	// refNil marks an empty freelist head or index slot.
+	// refNil marks an empty freelist head.
 	refNil = ^uint32(0)
 
 	// minClass keeps every region at least 8 bytes: room for the 4-byte
@@ -55,8 +59,10 @@ const (
 	maxClass = slabShift
 )
 
-// MemStats is the memory footprint of an arena-backed index, reported
-// through Summary.Memory, /metricsz and the capacity bench tier.
+// MemStats is the memory footprint of an Index, reported through
+// Summary.Memory, /metricsz and the capacity bench tier. The slab
+// fields are zero for inline (non-string) keys, whose bytes are part
+// of IndexBytes.
 type MemStats struct {
 	// SlabBytes is the total backing bytes of all slabs (live, free and
 	// carve slack).
@@ -67,18 +73,17 @@ type MemStats struct {
 	LiveBytes uint64
 	// FreeBytes is the class-rounded bytes of regions on the free lists.
 	FreeBytes uint64
-	// LiveKeys is the number of live key regions.
+	// LiveKeys is the number of stored keys.
 	LiveKeys int
-	// IndexSlots is the open-addressing slot count (zero on the map
-	// path).
+	// IndexSlots is the open-addressing table's record count.
 	IndexSlots int
-	// IndexBytes is the slot array's backing bytes.
+	// IndexBytes is the table's backing bytes (inline keys included).
 	IndexBytes uint64
 }
 
 // Arena is the append-only slab allocator. The zero value is not
 // usable (the freelist heads must read refNil, not zero); init must run
-// before the first alloc — NewStringIndex does.
+// before the first alloc — New does.
 type Arena struct {
 	slabs [][]byte
 	// freeSlabs holds indices of fully recyclable slabs (refilled by

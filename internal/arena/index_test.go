@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/hashing"
 )
 
 // TestClassFor pins the size-class geometry: power-of-two rounding with
@@ -106,18 +109,28 @@ func TestStringIndexBigKeys(t *testing.T) {
 	}
 }
 
-// applyOps drives an index and a map oracle through a randomized
-// op sequence and fails on the first divergence. Returned strings from
-// Put are checked for equality (they may alias the arena).
-func applyOps(t *testing.T, x *StringIndex, ops []byte) {
+// pair is a key kind the hasher serves through its maphash fallback.
+type pair [2]uint64
+
+// Key generators for the oracle harness: 64 distinct keys per kind.
+// The string keys vary wildly in length, exercising several size
+// classes; all kinds collide on home records at the tiny start size.
+func strKey(b byte) string {
+	n := int(b % 64)
+	return strings.Repeat("k", n%7) + fmt.Sprintf("key-%d-%s", n, strings.Repeat("pad", n%5))
+}
+
+func u64Key(b byte) uint64 { return uint64(b%64) * 0x9e3779b97f4a7c15 }
+
+func pairKey(b byte) pair { return pair{uint64(b % 64), uint64(b%64) << 32} }
+
+// applyOps drives an index and a map[K]int32 oracle through a
+// randomized op sequence and fails on the first divergence. Keys
+// returned by Put are checked for equality (string kinds alias the
+// arena).
+func applyOps[K comparable](t *testing.T, x *Index[K], keyFor func(byte) K, ops []byte) {
 	t.Helper()
-	oracle := map[string]int32{}
-	keyFor := func(b byte) string {
-		// 64 distinct keys of wildly varying length exercise several size
-		// classes and probe collisions.
-		n := int(b % 64)
-		return strings.Repeat("k", n%7) + fmt.Sprintf("key-%d-%s", n, strings.Repeat("pad", n%5))
-	}
+	oracle := map[K]int32{}
 	for i, op := range ops {
 		k := keyFor(op)
 		switch op % 4 {
@@ -125,7 +138,7 @@ func applyOps(t *testing.T, x *StringIndex, ops []byte) {
 			v := int32(i)
 			ret := x.Put(k, v)
 			if ret != k {
-				t.Fatalf("op %d: Put(%q) returned %q", i, k, ret)
+				t.Fatalf("op %d: Put(%v) returned %v", i, k, ret)
 			}
 			oracle[k] = v
 		case 2:
@@ -143,16 +156,20 @@ func applyOps(t *testing.T, x *StringIndex, ops []byte) {
 	}
 	for k, want := range oracle {
 		if got, ok := x.Get(k); !ok || got != want {
-			t.Fatalf("final: Get(%q) = %d, %v; oracle %d", k, got, ok, want)
+			t.Fatalf("final: Get(%v) = %d, %v; oracle %d", k, got, ok, want)
 		}
 	}
-	// Probe a few known-absent keys.
-	for _, k := range []string{"absent", "", "zzz"} {
+	// Probe every key the generator can name: absent ones must miss.
+	for b := 0; b < 64; b++ {
+		k := keyFor(byte(b))
 		if _, inOracle := oracle[k]; !inOracle {
 			if _, ok := x.Get(k); ok {
-				t.Fatalf("phantom key %q", k)
+				t.Fatalf("phantom key %v", k)
 			}
 		}
+	}
+	if ms := x.Mem(); ms.LiveKeys != len(oracle) {
+		t.Fatalf("Mem().LiveKeys = %d, oracle %d", ms.LiveKeys, len(oracle))
 	}
 }
 
@@ -165,19 +182,35 @@ func TestStringIndexOracle(t *testing.T) {
 		ops := make([]byte, 2000)
 		rng.Read(ops)
 		x := NewStringIndex(1, uint64(round)) // min-size: forces doubling
-		applyOps(t, x, ops)
+		applyOps(t, x, strKey, ops)
 	}
 }
 
-// FuzzStringIndexOps lets the fuzzer drive the same oracle harness.
-func FuzzStringIndexOps(f *testing.F) {
+// TestInlineIndexOracle runs the same property test over the inline
+// key kinds: uint64 (the Fibonacci-mix hash) and a pair array (the
+// maphash fallback).
+func TestInlineIndexOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for round := 0; round < 50; round++ {
+		ops := make([]byte, 2000)
+		rng.Read(ops)
+		applyOps(t, New(1, hashing.KeyHasher[uint64](uint64(round))), u64Key, ops)
+		applyOps(t, New(1, hashing.KeyHasher[pair](uint64(round))), pairKey, ops)
+	}
+}
+
+// FuzzIndexOps lets the fuzzer drive the oracle harness over all three
+// key kinds with the same op sequence.
+func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 7, 0, 0, 2})
 	f.Add([]byte("insert-delete-insert"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
 		}
-		applyOps(t, NewStringIndex(1, 99), ops)
+		applyOps(t, NewStringIndex(1, 99), strKey, ops)
+		applyOps(t, New(1, hashing.KeyHasher[uint64](99)), u64Key, ops)
+		applyOps(t, New(1, hashing.KeyHasher[pair](99)), pairKey, ops)
 	})
 }
 
@@ -243,44 +276,61 @@ func TestArenaResetReuse(t *testing.T) {
 	}
 }
 
-func TestMapIndex(t *testing.T) {
-	ix := NewMap[uint64](8)
-	ix.Put(7, 1)
-	if v, ok := ix.Get(7); !ok || v != 1 {
-		t.Fatalf("Get = %d, %v", v, ok)
-	}
-	if k := ix.Materialize(7); k != 7 {
-		t.Fatalf("Materialize = %d", k)
-	}
-	if _, ok := ix.Mem(); ok {
-		t.Fatal("map index claimed arena stats")
-	}
-	ix.Delete(7)
-	if ix.Len() != 0 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-}
-
-// TestNewForString covers the kind gate: string kinds get the arena,
-// everything else declines.
-func TestNewForString(t *testing.T) {
-	if _, ok := NewForString[uint64](8, 1); ok {
-		t.Fatal("uint64 got an arena index")
-	}
+// TestIndexKeyKinds pins the storage split: every string kind (named
+// ones too) is interned into slabs and exported through Materialize as
+// an owned copy; every other kind sits inline, slab-free.
+func TestIndexKeyKinds(t *testing.T) {
 	type tenant string
-	ix, ok := NewForString[tenant](8, 1)
-	if !ok {
-		t.Fatal("named string kind declined")
-	}
-	ret := ix.Put(tenant("t0"), 5)
+	ts := New(8, hashing.KeyHasher[tenant](1))
+	ret := ts.Put(tenant("t0"), 5)
 	if ret != "t0" {
 		t.Fatalf("Put returned %q", ret)
 	}
-	if v, ok := ix.Get(tenant("t0")); !ok || v != 5 {
+	if v, ok := ts.Get(tenant("t0")); !ok || v != 5 {
 		t.Fatalf("Get = %d, %v", v, ok)
 	}
-	m := ix.Materialize(ret)
-	if m != "t0" {
-		t.Fatalf("Materialize = %q", m)
+	if m := ts.Materialize(ret); m != "t0" || unsafe.StringData(string(m)) == unsafe.StringData(string(ret)) {
+		t.Fatalf("Materialize = %q, want an owned copy", m)
+	}
+	if ms := ts.Mem(); ms.Slabs != 1 || ms.LiveKeys != 1 {
+		t.Fatalf("named string kind not interned: %+v", ms)
+	}
+
+	us := New(8, hashing.KeyHasher[uint64](1))
+	if k := us.Put(7, 1); k != 7 {
+		t.Fatalf("Put returned %d", k)
+	}
+	if k := us.Materialize(7); k != 7 {
+		t.Fatalf("Materialize = %d", k)
+	}
+	ms := us.Mem()
+	if ms.Slabs != 0 || ms.SlabBytes != 0 || ms.LiveKeys != 1 || ms.IndexBytes != uint64(ms.IndexSlots)*16 {
+		t.Fatalf("uint64 keys not inline: %+v", ms)
+	}
+	us.Delete(7)
+	if us.Len() != 0 {
+		t.Fatalf("Len = %d", us.Len())
+	}
+}
+
+// TestIndexHomesSpreadShardedHashes pins the home-position fold: the
+// keys of one shard of a p-way sharded summary all share h mod p, so an
+// index homing on raw low hash bits would crowd them into 1/p of its
+// records. Hashes whose low 3 bits are all zero must still probe about
+// as short as random ones at the index's pre-sized load.
+func TestIndexHomesSpreadShardedHashes(t *testing.T) {
+	const m = 4096
+	x := New(m, func(k uint64) uint64 { return hashing.KeyHasher[uint64](3)(k) &^ 7 })
+	for k := uint64(0); k < m; k++ {
+		x.Put(k, int32(k))
+	}
+	var disp uint64
+	for i, r := range x.ents {
+		if r.val != empty {
+			disp += (uint64(i) - uint64(r.tag>>x.shift)) & x.mask
+		}
+	}
+	if mean := float64(disp) / m; mean > 1 {
+		t.Fatalf("mean probe displacement %.2f records: homes crowd on shared low hash bits", mean)
 	}
 }

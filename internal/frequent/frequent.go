@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/hashing"
 )
 
 // nilIdx is the null link of the slab-allocated bucket lists.
@@ -49,20 +50,13 @@ type node[K comparable] struct {
 type Frequent[K comparable] struct {
 	m    int
 	base uint64 // number of decrement-all operations so far
-	// items maps a stored key to its node index. The default is a map;
-	// EnableArena swaps in the pointer-free open-addressing index for
-	// string keys, after which every stored node.item aliases the
-	// arena's slabs and exported entries pass through Materialize.
+	// items maps a stored key to its node index: the open-addressing
+	// index of internal/arena. String keys are interned into its slabs,
+	// so every stored node.item of a string-keyed structure aliases them
+	// and exported entries pass through Materialize; interning is also
+	// the one copy a borrowed key needs.
 	items arena.Index[K]
-	// fast aliases items as the concrete map while the default index is
-	// in place, nil after EnableArena; the hot path branches on it so
-	// map-backed ingest keeps direct (inlineable) map operations instead
-	// of an interface call per Get/Put/Delete.
-	fast arena.Map[K]
-	// arenaOn records the swap so SetKeyClone stays a no-op (the arena
-	// interns every retained key itself).
-	arenaOn bool
-	nodes   []node[K]
+	nodes []node[K]
 	// Groups can momentarily number one more than the live nodes while a
 	// node is detached during a move, hence the m+1 slab.
 	groups    []group
@@ -72,105 +66,21 @@ type Frequent[K comparable] struct {
 	head, tail int32
 	n          uint64
 	decrements uint64 // d in the Appendix B analysis
-	// clone, when set, copies a key at the moment it is retained
-	// (SetKeyClone) so callers may pass keys aliasing reused memory.
-	clone func(K) K
-	// probe is the hit-hint scratch of AddNBatch (one node index per
-	// batch key), reused across batches so steady-state batch ingest
-	// allocates nothing.
-	probe []int32
 }
 
-// SetKeyClone installs fn as the borrowed-key clone hook: every key the
-// structure decides to store is first passed through fn, so callers may
-// hand Update/AddN keys whose backing memory is reused after the call.
-// Keys that hit an existing counter — or bounce off a full table as a
-// decrement — are never cloned. Must be called before the first update.
-// On an arena-backed structure (EnableArena) the hook is ignored: the
-// arena copies every retained key into its slabs already.
-func (f *Frequent[K]) SetKeyClone(fn func(K) K) {
-	if f.arenaOn {
-		return
-	}
-	f.clone = fn
-}
+// MemoryFootprint reports the key index footprint (slabs and table).
+func (f *Frequent[K]) MemoryFootprint() arena.MemStats { return f.items.Mem() }
 
-// EnableArena swaps the key index for the arena-backed open-addressing
-// index of internal/arena: stored keys live in byte slabs as
-// (offset, len) references, so the steady-state heap holds no per-key
-// objects. Valid only for string-kind K (returns false otherwise — the
-// map path stays) and only before the first update. seed salts the
-// index hash (the keyHasher FNV-1a family). Borrowed keys need no
-// separate clone hook afterwards: insertion interns the key bytes
-// straight into the slabs, one copy, no intermediate string.
-func (f *Frequent[K]) EnableArena(seed uint64) bool {
-	if f.n != 0 || f.items.Len() != 0 {
-		panic("frequent: EnableArena after updates")
-	}
-	ix, ok := arena.NewForString[K](f.m, seed)
-	if !ok {
-		return false
-	}
-	f.items = ix
-	f.fast = nil
-	f.arenaOn = true
-	f.clone = nil
-	return true
-}
-
-// lookup, store, unstore, and size are the hot-path face of the key
-// index: direct map operations while fast is non-nil (the default),
-// one interface call otherwise (arena). Decrement-heavy streams pay
-// these per item, so the default path must not fund the arena's
-// abstraction. Update and AddN spell the lookup branch out inline
-// instead of calling lookup: the comma-ok map access plus the
-// interface fallback push the shape instantiation of a lookup helper
-// over the inline budget, which costs ~15% on uniform streams.
-//
-//hh:noalloc
-func (f *Frequent[K]) lookup(item K) (int32, bool) {
-	if f.fast != nil {
-		nd, ok := f.fast[item]
-		return nd, ok
-	}
-	return f.items.Get(item)
-}
-
-// store retains item → nd and returns the retained key (a slab view on
-// the arena path; item itself otherwise).
-//
-//hh:noalloc
-func (f *Frequent[K]) store(item K, nd int32) K {
-	if f.fast != nil {
-		f.fast[item] = nd
-		return item
-	}
-	return f.items.Put(item, nd)
-}
-
-//hh:noalloc
-func (f *Frequent[K]) unstore(item K) {
-	if f.fast != nil {
-		delete(f.fast, item)
-		return
-	}
-	f.items.Delete(item)
-}
-
-//hh:noalloc
-func (f *Frequent[K]) size() int {
-	if f.fast != nil {
-		return len(f.fast)
-	}
-	return f.items.Len()
-}
-
-// MemoryFootprint reports the arena + index footprint; ok is false on
-// the map path, whose footprint the runtime owns.
-func (f *Frequent[K]) MemoryFootprint() (arena.MemStats, bool) { return f.items.Mem() }
-
-// New returns a FREQUENT instance with m counters. It panics if m < 1.
+// New returns a FREQUENT instance with m counters, its key index
+// hashing with hashing.KeyHasher[K](0). It panics if m < 1.
 func New[K comparable](m int) *Frequent[K] {
+	return NewHashed(m, hashing.KeyHasher[K](0))
+}
+
+// NewHashed is New with the key index hashing by hash — the owning
+// summary's key hasher, so the hashes AddNBatch is handed are the
+// index's own.
+func NewHashed[K comparable](m int, hash func(K) uint64) *Frequent[K] {
 	if m < 1 {
 		panic("frequent: m must be >= 1")
 	}
@@ -179,14 +89,12 @@ func New[K comparable](m int) *Frequent[K] {
 		// m would wrap them. Fail loudly instead of corrupting.
 		panic("frequent: m exceeds the int32 slab index range")
 	}
-	mp := arena.NewMap[K](m)
 	f := &Frequent[K]{
 		m:      m,
-		items:  mp,
-		fast:   mp,
 		nodes:  make([]node[K], m),
 		groups: make([]group, m+1),
 	}
+	f.items.Init(m, hash)
 	f.initFreeLists()
 	return f
 }
@@ -205,11 +113,14 @@ func (f *Frequent[K]) initFreeLists() {
 	f.head, f.tail = nilIdx, nilIdx
 }
 
+// allocNode takes a free node; the caller stores the retained key into
+// it.
+//
 //hh:noalloc
-func (f *Frequent[K]) allocNode(item K) int32 {
+func (f *Frequent[K]) allocNode() int32 {
 	i := f.freeNode
 	f.freeNode = f.nodes[i].next
-	f.nodes[i] = node[K]{item: item, grp: nilIdx, prev: nilIdx, next: nilIdx}
+	f.nodes[i] = node[K]{grp: nilIdx, prev: nilIdx, next: nilIdx}
 	return i
 }
 
@@ -217,11 +128,6 @@ func (f *Frequent[K]) allocNode(item K) int32 {
 func (f *Frequent[K]) freeNodeIdx(i int32) {
 	var zero K
 	f.nodes[i].item = zero // drop any reference held by the slab slot
-	// grp = nilIdx marks the node dead: AddNBatch validates its probe
-	// hints against it, so a hint to a freed-but-unreused node (whose
-	// zeroed item could equal a legitimate zero-value key — dismantled
-	// groups free many nodes without reusing them) is rejected.
-	f.nodes[i].grp = nilIdx
 	f.nodes[i].next = f.freeNode
 	f.freeNode = i
 }
@@ -246,19 +152,13 @@ func (f *Frequent[K]) freeGroupIdx(i int32) {
 //hh:noalloc
 func (f *Frequent[K]) Update(item K) {
 	f.n++
-	var nd int32
-	var ok bool
-	if f.fast != nil {
-		nd, ok = f.fast[item]
-	} else {
-		nd, ok = f.items.Get(item)
-	}
-	if ok {
+	h := f.items.Hash(item)
+	if nd, ok := f.items.GetHashed(item, h); ok {
 		f.increment(nd)
 		return
 	}
-	if f.size() < f.m {
-		f.insert(item)
+	if f.items.Len() < f.m {
+		f.insertN(item, h, 1)
 		return
 	}
 	f.decrementAll()
@@ -273,24 +173,53 @@ func (f *Frequent[K]) Update(item K) {
 // it in O(groups crossed) instead of O(n).
 //
 //hh:noalloc
-func (f *Frequent[K]) AddN(item K, n uint64) {
+func (f *Frequent[K]) AddN(item K, n uint64) { f.addNHashed(item, f.items.Hash(item), n) }
+
+// AddNBatch processes a coalesced batch: counts[i] occurrences of
+// items[i], exactly AddN(items[i], counts[i]) in order; a nil counts
+// means every key occurs once. hashes, when non-nil, must carry each
+// key's hash under the index's hasher (the partition hash), so each key
+// is probed, and on a miss inserted, without being hashed again; nil
+// hashes the keys here.
+//
+//hh:noalloc
+func (f *Frequent[K]) AddNBatch(items []K, counts []uint32, hashes []uint64) {
+	for i, it := range items {
+		n := uint64(1)
+		if counts != nil {
+			n = uint64(counts[i])
+		}
+		if hashes != nil {
+			f.addNHashed(it, hashes[i], n)
+		} else {
+			f.addNHashed(it, f.items.Hash(it), n)
+		}
+	}
+}
+
+// addNHashed is AddN with h the key's index hash.
+//
+//hh:noalloc
+func (f *Frequent[K]) addNHashed(item K, h, n uint64) {
 	if n == 0 {
 		return
 	}
-	f.n += n
-	var nd int32
-	var ok bool
-	if f.fast != nil {
-		nd, ok = f.fast[item]
-	} else {
-		nd, ok = f.items.Get(item)
-	}
-	if ok {
+	if nd, ok := f.items.GetHashed(item, h); ok {
+		f.n += n
 		f.incrementN(nd, n)
 		return
 	}
-	if f.size() < f.m {
-		f.insertN(item, n)
+	f.addNMiss(item, h, n)
+}
+
+// addNMiss is AddN's insert/decrement tail for a key known to be
+// absent, with h its index hash.
+//
+//hh:noalloc
+func (f *Frequent[K]) addNMiss(item K, h uint64, n uint64) {
+	f.n += n
+	if f.items.Len() < f.m {
+		f.insertN(item, h, n)
 		return
 	}
 	minCount := f.groups[f.head].sv - f.base
@@ -307,101 +236,7 @@ func (f *Frequent[K]) AddN(item K, n uint64) {
 	f.decrements += minCount
 	f.dismantleGroup(f.head) // sv == f.base now
 	if rem := n - minCount; rem > 0 {
-		f.insertN(item, rem)
-	}
-}
-
-// AddNBatch processes a coalesced batch: counts[i] occurrences of
-// items[i], equivalent to calling AddN(items[i], counts[i]) in order.
-// Batch keys must be pairwise distinct; a nil counts means every key
-// occurs once. hashes, when non-nil on an arena-backed structure, must
-// carry each key's keyHasher hash with the structure's seed (the
-// partition hash). On the arena index the kernel is two-pass,
-// mirroring spacesaving.AddNBatch: an index probe pass records hit
-// hints, an apply pass validates each hint against the live node (a
-// decrement in the same batch can dismantle the whole minimum group,
-// freeing many nodes) and falls to the miss path on any staleness —
-// sound because batch keys are distinct, so an evicted batch key stays
-// absent. The map-backed fast path stays single-pass.
-//
-//hh:noalloc
-func (f *Frequent[K]) AddNBatch(items []K, counts []uint32, hashes []uint64) {
-	// Map-backed fast path: single-pass — a Go map probe gains nothing
-	// from the hint scratch (see the spacesaving kernel's note).
-	if f.fast != nil {
-		for i, it := range items {
-			n := uint64(1)
-			if counts != nil {
-				n = uint64(counts[i])
-			}
-			if n == 0 {
-				continue
-			}
-			if nd, ok := f.fast[it]; ok {
-				f.n += n
-				f.incrementN(nd, n)
-				continue
-			}
-			f.addNMiss(it, n)
-		}
-		return
-	}
-	f.probe = f.probe[:0]
-	if hashes != nil {
-		for i, it := range items {
-			nd, ok := f.items.GetHashed(it, hashes[i])
-			if !ok {
-				nd = nilIdx
-			}
-			f.probe = append(f.probe, nd)
-		}
-	} else {
-		for _, it := range items {
-			nd, ok := f.items.Get(it)
-			if !ok {
-				nd = nilIdx
-			}
-			f.probe = append(f.probe, nd)
-		}
-	}
-	for i, it := range items {
-		n := uint64(1)
-		if counts != nil {
-			n = uint64(counts[i])
-		}
-		if n == 0 {
-			continue
-		}
-		if nd := f.probe[i]; nd != nilIdx && f.nodes[nd].grp != nilIdx && f.nodes[nd].item == it {
-			f.n += n
-			f.incrementN(nd, n)
-			continue
-		}
-		f.addNMiss(it, n)
-	}
-}
-
-// addNMiss is AddN's insert/decrement tail for a key known to be
-// absent — the batch kernel's miss path, which needs no index probe.
-//
-//hh:noalloc
-func (f *Frequent[K]) addNMiss(item K, n uint64) {
-	f.n += n
-	if f.size() < f.m {
-		f.insertN(item, n)
-		return
-	}
-	minCount := f.groups[f.head].sv - f.base
-	if n < minCount {
-		f.base += n
-		f.decrements += n
-		return
-	}
-	f.base += minCount
-	f.decrements += minCount
-	f.dismantleGroup(f.head) // sv == f.base now
-	if rem := n - minCount; rem > 0 {
-		f.insertN(item, rem)
+		f.insertN(item, h, rem)
 	}
 }
 
@@ -425,15 +260,12 @@ func (f *Frequent[K]) incrementN(nd int32, n uint64) {
 }
 
 // insertN stores a brand-new item with count n (stored value base+n),
-// scanning from the head.
+// h its index hash, scanning from the head.
 //
 //hh:noalloc
-func (f *Frequent[K]) insertN(item K, n uint64) {
-	if f.clone != nil {
-		item = f.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
-	}
-	nd := f.allocNode(item)
-	f.nodes[nd].item = f.store(item, nd)
+func (f *Frequent[K]) insertN(item K, h uint64, n uint64) {
+	nd := f.allocNode()
+	f.nodes[nd].item = f.items.PutHashed(item, h, nd)
 	sv := f.base + n
 	t := f.head
 	for t != nilIdx && f.groups[t].sv < sv {
@@ -467,22 +299,6 @@ func (f *Frequent[K]) increment(nd int32) {
 	}
 }
 
-// insert stores a brand-new item with count 1 (stored value base+1).
-//
-//hh:noalloc
-func (f *Frequent[K]) insert(item K) {
-	if f.clone != nil {
-		item = f.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
-	}
-	nd := f.allocNode(item)
-	f.nodes[nd].item = f.store(item, nd)
-	target := f.head
-	if target == nilIdx || f.groups[target].sv != f.base+1 {
-		target = f.insertGroupBefore(f.head, f.base+1)
-	}
-	f.appendNode(target, nd)
-}
-
 // decrementAll implements "forall j ∈ T: c_j ← c_j − 1" in O(1) amortised
 // time: the global base advances, and only the group whose count reaches
 // zero is dismantled.
@@ -502,7 +318,7 @@ func (f *Frequent[K]) decrementAll() {
 func (f *Frequent[K]) dismantleGroup(g int32) {
 	for nd := f.groups[g].head; nd != nilIdx; {
 		next := f.nodes[nd].next
-		f.unstore(f.nodes[nd].item)
+		f.items.Delete(f.nodes[nd].item)
 		f.freeNodeIdx(nd)
 		nd = next
 	}
@@ -514,7 +330,7 @@ func (f *Frequent[K]) dismantleGroup(g int32) {
 //
 //hh:noalloc
 func (f *Frequent[K]) Estimate(item K) uint64 {
-	nd, ok := f.lookup(item)
+	nd, ok := f.items.Get(item)
 	if !ok {
 		return 0
 	}
@@ -582,8 +398,8 @@ func (f *Frequent[K]) N() uint64 { return f.n }
 //hh:noalloc
 func (f *Frequent[K]) Decrements() uint64 { return f.decrements }
 
-// Reset restores the empty state, retaining the slabs and map storage so
-// a reset structure keeps updating allocation-free.
+// Reset restores the empty state, retaining the slabs and the index
+// storage so a reset structure keeps updating allocation-free.
 //
 //hh:noalloc
 func (f *Frequent[K]) Reset() {

@@ -212,8 +212,7 @@ func (r *Registry) Create(name string, spec hh.Spec) (*Entry, error) {
 
 // hardenSpec applies the registry's serving hardening to a stanza:
 // deterministic counter algorithms get WithConcurrent (queries must be
-// lock-free against the ingest handlers) and WithArena (pointer-free
-// key storage — O(1) GC objects per live summary), sketch algorithms —
+// lock-free against the ingest handlers), sketch algorithms —
 // which the concurrency tier rejects — get at least one locked shard
 // so handler goroutines never race on an unsynchronized structure, and
 // every summary gets WithBorrowedKeys so the ingest decoders may alias
@@ -231,7 +230,6 @@ func hardenSpec(spec hh.Spec) (hh.Spec, hh.Algo, error) {
 	}
 	if algo != hh.AlgoCountMin && algo != hh.AlgoCountSketch {
 		spec.Concurrent = true
-		spec.Arena = true
 	} else if spec.Shards < 1 {
 		spec.Shards = 1
 	}
@@ -616,13 +614,14 @@ type Stats struct {
 	Durable        bool   `json:"durable,omitempty"`
 	WALSeq         uint64 `json:"wal_seq,omitempty"`
 	RestoredInputs uint64 `json:"restored_inputs,omitempty"`
-	// Memory is the live summary's arena footprint — present only when
-	// the summary stores its keys in arena slabs (the registry arms
-	// WithArena on every deterministic stanza).
+	// Memory is the live summary's key-index footprint — present for
+	// every unit-weight SPACESAVING and FREQUENT summary (their keys
+	// live in the arena index), absent for the map-keyed compositions
+	// (weighted, decayed, LOSSYCOUNTING, the sketches).
 	Memory *MemStats `json:"memory,omitempty"`
 }
 
-// MemStats is the /metricsz memory block of one arena-backed summary.
+// MemStats is the /metricsz memory block of one arena-indexed summary.
 type MemStats struct {
 	// ArenaBytes is the total slab backing holding the tracked keys;
 	// Slabs its slab count.
@@ -644,7 +643,7 @@ type MemStats struct {
 }
 
 // readMemory assembles the memory block from the live summary's arena
-// walk; nil when the summary is map-backed.
+// walk; nil when the summary keeps no arena index.
 func readMemory(s hh.Summary[string]) *MemStats {
 	m, ok := s.Memory()
 	if !ok {

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
+	"repro/internal/hashing"
 )
 
 // nilIdx is the null link of the slab-allocated bucket lists.
@@ -55,20 +56,13 @@ type ssNode[K comparable] struct {
 // once constructed. The zero value is not usable; construct with New.
 type StreamSummary[K comparable] struct {
 	m int
-	// items maps a stored key to its node index. The default is a map;
-	// EnableArena swaps in the pointer-free open-addressing index for
-	// string keys, after which every stored node.item aliases the
-	// arena's slabs and exported entries pass through Materialize.
+	// items maps a stored key to its node index: the open-addressing
+	// index of internal/arena. String keys are interned into its slabs,
+	// so every stored node.item of a string-keyed summary aliases them
+	// and exported entries pass through Materialize; interning is also
+	// the one copy a borrowed key needs.
 	items arena.Index[K]
-	// fast aliases items as the concrete map while the default index is
-	// in place, nil after EnableArena; the hot path branches on it so
-	// map-backed ingest keeps direct (inlineable) map operations instead
-	// of an interface call per Get/Put/Delete.
-	fast arena.Map[K]
-	// arenaOn records the swap so SetKeyClone stays a no-op (the arena
-	// interns every retained key itself).
-	arenaOn bool
-	nodes   []ssNode[K]
+	nodes []ssNode[K]
 	// Groups can momentarily number one more than the live nodes while a
 	// node is detached during a move, hence the m+1 slab.
 	groups    []ssGroup
@@ -77,107 +71,33 @@ type StreamSummary[K comparable] struct {
 	// head/tail of the group list, ascending by count.
 	head, tail int32
 	n          uint64
-	// clone, when set, copies a key at the moment it is retained so
-	// callers may pass keys aliasing reused memory (SetKeyClone).
-	clone func(K) K
-	// probe is the hit-hint scratch of AddNBatch (one node index per
-	// batch key), reused across batches so steady-state batch ingest
-	// allocates nothing.
-	probe []int32
 }
 
-// SetKeyClone installs fn as the borrowed-key clone hook: every key the
-// structure decides to retain (fresh insertion or eviction replacement)
-// is first passed through fn, so callers may hand Update/AddN keys
-// whose backing memory is reused after the call. Keys that only hit an
-// existing counter are never cloned. A nil fn restores the default
-// aliasing behavior. Must be called before the first update. On an
-// arena-backed structure (EnableArena) the hook is ignored: the arena
-// copies every retained key into its slabs already.
-func (s *StreamSummary[K]) SetKeyClone(fn func(K) K) {
-	if s.arenaOn {
-		return
-	}
-	s.clone = fn
-}
-
-// EnableArena swaps the key index for the arena-backed open-addressing
-// index of internal/arena: stored keys live in byte slabs as
-// (offset, len) references, so the steady-state heap holds no per-key
-// objects. Valid only for string-kind K (returns false otherwise — the
-// map path stays) and only before the first update. seed salts the
-// index hash (the keyHasher FNV-1a family). Borrowed keys need no
-// separate clone hook afterwards: insertion interns the key bytes
-// straight into the slabs, one copy, no intermediate string.
-func (s *StreamSummary[K]) EnableArena(seed uint64) bool {
+// EnableArena re-seeds the key index with hashing.KeyHasher[K](seed).
+// Every StreamSummary is arena-backed; the call survives only as the
+// seeding hook of callers that build a summary with New and then pick
+// the index seed. Must be called before the first update.
+func (s *StreamSummary[K]) EnableArena(seed uint64) {
 	if s.n != 0 || s.items.Len() != 0 {
 		panic("spacesaving: EnableArena after updates")
 	}
-	ix, ok := arena.NewForString[K](s.m, seed)
-	if !ok {
-		return false
-	}
-	s.items = ix
-	s.fast = nil
-	s.arenaOn = true
-	s.clone = nil
-	return true
+	s.items.Init(s.m, hashing.KeyHasher[K](seed))
 }
 
-// lookup, store, unstore, and size are the hot-path face of the key
-// index: direct map operations while fast is non-nil (the default),
-// one interface call otherwise (arena). Eviction-heavy streams pay
-// these per item, so the default path must not fund the arena's
-// abstraction. Update and AddN spell the lookup branch out inline
-// instead of calling lookup: the comma-ok map access plus the
-// interface fallback push the shape instantiation of a lookup helper
-// over the inline budget, which costs ~15% on uniform streams.
-//
-//hh:noalloc
-func (s *StreamSummary[K]) lookup(item K) (int32, bool) {
-	if s.fast != nil {
-		nd, ok := s.fast[item]
-		return nd, ok
-	}
-	return s.items.Get(item)
-}
-
-// store retains item → nd and returns the retained key (a slab view on
-// the arena path; item itself otherwise).
-//
-//hh:noalloc
-func (s *StreamSummary[K]) store(item K, nd int32) K {
-	if s.fast != nil {
-		s.fast[item] = nd
-		return item
-	}
-	return s.items.Put(item, nd)
-}
-
-//hh:noalloc
-func (s *StreamSummary[K]) unstore(item K) {
-	if s.fast != nil {
-		delete(s.fast, item)
-		return
-	}
-	s.items.Delete(item)
-}
-
-//hh:noalloc
-func (s *StreamSummary[K]) size() int {
-	if s.fast != nil {
-		return len(s.fast)
-	}
-	return s.items.Len()
-}
-
-// MemoryFootprint reports the arena + index footprint; ok is false on
-// the map path, whose footprint the runtime owns.
-func (s *StreamSummary[K]) MemoryFootprint() (arena.MemStats, bool) { return s.items.Mem() }
+// MemoryFootprint reports the key index footprint (slabs and table).
+func (s *StreamSummary[K]) MemoryFootprint() arena.MemStats { return s.items.Mem() }
 
 // New returns a SPACESAVING instance with m counters backed by a
-// Stream-Summary. It panics if m < 1.
+// Stream-Summary, its key index hashing with hashing.KeyHasher[K](0).
+// It panics if m < 1.
 func New[K comparable](m int) *StreamSummary[K] {
+	return NewHashed(m, hashing.KeyHasher[K](0))
+}
+
+// NewHashed is New with the key index hashing by hash — the owning
+// summary's key hasher, so the hashes AddNBatch is handed are the
+// index's own.
+func NewHashed[K comparable](m int, hash func(K) uint64) *StreamSummary[K] {
 	if m < 1 {
 		panic("spacesaving: m must be >= 1")
 	}
@@ -186,14 +106,12 @@ func New[K comparable](m int) *StreamSummary[K] {
 		// m would wrap them. Fail loudly instead of corrupting.
 		panic("spacesaving: m exceeds the int32 slab index range")
 	}
-	mp := arena.NewMap[K](m)
 	s := &StreamSummary[K]{
 		m:      m,
-		items:  mp,
-		fast:   mp,
 		nodes:  make([]ssNode[K], m),
 		groups: make([]ssGroup, m+1),
 	}
+	s.items.Init(m, hash)
 	s.initFreeLists()
 	return s
 }
@@ -212,11 +130,14 @@ func (s *StreamSummary[K]) initFreeLists() {
 	s.head, s.tail = nilIdx, nilIdx
 }
 
+// allocNode takes a free node recording eviction error err; the caller
+// stores the retained key into it.
+//
 //hh:noalloc
-func (s *StreamSummary[K]) allocNode(item K, err uint64) int32 {
+func (s *StreamSummary[K]) allocNode(err uint64) int32 {
 	i := s.freeNode
 	s.freeNode = s.nodes[i].next
-	s.nodes[i] = ssNode[K]{item: item, err: err, grp: nilIdx, prev: nilIdx, next: nilIdx}
+	s.nodes[i] = ssNode[K]{err: err, grp: nilIdx, prev: nilIdx, next: nilIdx}
 	return i
 }
 
@@ -224,10 +145,6 @@ func (s *StreamSummary[K]) allocNode(item K, err uint64) int32 {
 func (s *StreamSummary[K]) freeNodeIdx(i int32) {
 	var zero K
 	s.nodes[i].item = zero // drop any reference held by the slab slot
-	// grp = nilIdx marks the node dead: AddNBatch validates its probe
-	// hints against it, so a hint to a freed-but-unreused node (whose
-	// zeroed item could equal a legitimate zero-value key) is rejected.
-	s.nodes[i].grp = nilIdx
 	s.nodes[i].next = s.freeNode
 	s.freeNode = i
 }
@@ -251,45 +168,13 @@ func (s *StreamSummary[K]) freeGroupIdx(i int32) {
 //
 //hh:noalloc
 func (s *StreamSummary[K]) Update(item K) {
-	s.n++
-	var nd int32
-	var ok bool
-	if s.fast != nil {
-		nd, ok = s.fast[item]
-	} else {
-		nd, ok = s.items.Get(item)
-	}
-	if ok {
+	h := s.items.Hash(item)
+	if nd, ok := s.items.GetHashed(item, h); ok {
+		s.n++
 		s.bump(nd, s.groups[s.nodes[nd].grp].count+1)
 		return
 	}
-	if s.clone != nil {
-		item = s.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
-	}
-	if s.size() < s.m {
-		fresh := s.allocNode(item, 0)
-		s.nodes[fresh].item = s.store(item, fresh)
-		target := s.head
-		if target == nilIdx || s.groups[target].count != 1 {
-			target = s.insertGroupBefore(s.head, 1)
-		}
-		s.appendNode(target, fresh)
-		return
-	}
-	// Evict the oldest member of the minimum bucket; the newcomer
-	// inherits its count plus one and records the eviction error.
-	minG := s.head
-	minCount := s.groups[minG].count
-	victim := s.groups[minG].head
-	s.unstore(s.nodes[victim].item)
-	s.unlinkNode(victim)
-	s.freeNodeIdx(victim)
-	nd = s.allocNode(item, minCount)
-	s.nodes[nd].item = s.store(item, nd)
-	// minG may have been removed if the victim was its only member; the
-	// newcomer belongs to the bucket with count minCount+1 which, if it
-	// must be created, sits exactly where minG was (or after it).
-	s.placeWithCount(nd, minCount+1)
+	s.addNMiss(item, h, 1)
 }
 
 // AddN processes n occurrences of item at once, with the semantics of
@@ -301,143 +186,71 @@ func (s *StreamSummary[K]) Update(item K) {
 // the cost matches feeding the occurrences one at a time.
 //
 //hh:noalloc
-func (s *StreamSummary[K]) AddN(item K, n uint64) {
-	if n == 0 {
-		return
-	}
-	s.n += n
-	var nd int32
-	var ok bool
-	if s.fast != nil {
-		nd, ok = s.fast[item]
-	} else {
-		nd, ok = s.items.Get(item)
-	}
-	if ok {
-		s.bumpN(nd, s.groups[s.nodes[nd].grp].count+n)
-		return
-	}
-	if s.clone != nil {
-		item = s.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
-	}
-	if s.size() < s.m {
-		fresh := s.allocNode(item, 0)
-		s.nodes[fresh].item = s.store(item, fresh)
-		s.placeWithCount(fresh, n)
-		return
-	}
-	minG := s.head
-	minCount := s.groups[minG].count
-	victim := s.groups[minG].head
-	s.unstore(s.nodes[victim].item)
-	s.unlinkNode(victim)
-	s.freeNodeIdx(victim)
-	nd = s.allocNode(item, minCount)
-	s.nodes[nd].item = s.store(item, nd)
-	s.placeWithCount(nd, minCount+n)
-}
+func (s *StreamSummary[K]) AddN(item K, n uint64) { s.addNHashed(item, s.items.Hash(item), n) }
 
 // AddNBatch processes a coalesced batch: counts[i] occurrences of
-// items[i], equivalent to calling AddN(items[i], counts[i]) in order.
-// Batch keys must be pairwise distinct (the coalescing partitioner
-// guarantees it); a nil counts means every key occurs once. hashes,
-// when non-nil on an arena-backed structure, must carry each key's
-// keyHasher hash with the structure's seed (the partition hash) and is
-// used to probe the index without rehashing.
-//
-// On the arena index the kernel is two-pass: the first pass only
-// probes the key index, recording each key's node as a hit hint — a
-// tight loop of independent lookups the CPU can overlap, instead of
-// interleaving each dependent probe with the bucket-list mutation that
-// follows it. The second pass applies the counts. A hint can go stale
-// when an earlier miss in the same batch evicts its node, so every
-// hint is validated against the live node (grp lifetime mark + key
-// equality) before use; a stale hit is by construction a miss — batch
-// keys are distinct, so nothing re-inserts an evicted batch key — and
-// takes the miss path directly. The map-backed fast path stays
-// single-pass: a Go map probe cannot be overlapped the same way, so
-// the hint scratch would be pure overhead there.
+// items[i], exactly AddN(items[i], counts[i]) in order; a nil counts
+// means every key occurs once. hashes, when non-nil, must carry each
+// key's hash under the index's hasher — the partition hash of the
+// summary that built this structure with NewHashed — so each key is
+// probed, and on a miss inserted, without being hashed again; nil
+// hashes the keys here.
 //
 //hh:noalloc
 func (s *StreamSummary[K]) AddNBatch(items []K, counts []uint32, hashes []uint64) {
-	if s.fast != nil {
-		for i, it := range items {
-			n := uint64(1)
-			if counts != nil {
-				n = uint64(counts[i])
-			}
-			if n == 0 {
-				continue
-			}
-			if nd, ok := s.fast[it]; ok {
-				s.n += n
-				s.bumpN(nd, s.groups[s.nodes[nd].grp].count+n)
-				continue
-			}
-			s.addNMiss(it, n)
-		}
-		return
-	}
-	s.probe = s.probe[:0]
-	if hashes != nil {
-		for i, it := range items {
-			nd, ok := s.items.GetHashed(it, hashes[i])
-			if !ok {
-				nd = nilIdx
-			}
-			s.probe = append(s.probe, nd)
-		}
-	} else {
-		for _, it := range items {
-			nd, ok := s.items.Get(it)
-			if !ok {
-				nd = nilIdx
-			}
-			s.probe = append(s.probe, nd)
-		}
-	}
 	for i, it := range items {
 		n := uint64(1)
 		if counts != nil {
 			n = uint64(counts[i])
 		}
-		if n == 0 {
-			continue
+		if hashes != nil {
+			s.addNHashed(it, hashes[i], n)
+		} else {
+			s.addNHashed(it, s.items.Hash(it), n)
 		}
-		if nd := s.probe[i]; nd != nilIdx && s.nodes[nd].grp != nilIdx && s.nodes[nd].item == it {
-			s.n += n
-			s.bumpN(nd, s.groups[s.nodes[nd].grp].count+n)
-			continue
-		}
-		s.addNMiss(it, n)
 	}
 }
 
-// addNMiss is AddN's insert/evict tail for a key known to be absent —
-// the batch kernel's miss path, which needs no index probe (a miss
-// verdict cannot go stale inside a batch of distinct keys: no later
-// group re-inserts the key).
+// addNHashed is AddN with h the key's index hash.
 //
 //hh:noalloc
-func (s *StreamSummary[K]) addNMiss(item K, n uint64) {
-	s.n += n
-	if s.clone != nil {
-		item = s.clone(item) //hh:allocok borrowed-key inserts copy the key by contract
+func (s *StreamSummary[K]) addNHashed(item K, h, n uint64) {
+	if n == 0 {
+		return
 	}
-	if s.size() < s.m {
-		fresh := s.allocNode(item, 0)
-		s.nodes[fresh].item = s.store(item, fresh)
+	if nd, ok := s.items.GetHashed(item, h); ok {
+		s.n += n
+		s.bumpN(nd, s.groups[s.nodes[nd].grp].count+n)
+		return
+	}
+	s.addNMiss(item, h, n)
+}
+
+// addNMiss is the insert/evict tail for a key known to be absent, with
+// h its index hash: a fresh counter while one is free, otherwise the
+// oldest member of the minimum bucket is evicted and the newcomer
+// inherits its count plus n, recording the eviction error.
+//
+//hh:noalloc
+func (s *StreamSummary[K]) addNMiss(item K, h uint64, n uint64) {
+	s.n += n
+	if s.items.Len() < s.m {
+		fresh := s.allocNode(0)
+		s.nodes[fresh].item = s.items.PutHashed(item, h, fresh)
 		s.placeWithCount(fresh, n)
 		return
 	}
 	minG := s.head
 	minCount := s.groups[minG].count
 	victim := s.groups[minG].head
-	s.unstore(s.nodes[victim].item)
+	s.items.Delete(s.nodes[victim].item)
 	s.unlinkNode(victim)
 	s.freeNodeIdx(victim)
-	nd := s.allocNode(item, minCount)
-	s.nodes[nd].item = s.store(item, nd)
+	nd := s.allocNode(minCount)
+	s.nodes[nd].item = s.items.PutHashed(item, h, nd)
+	// minG may have been removed if the victim was its only member; the
+	// newcomer belongs to the bucket with count minCount+n which, if it
+	// must be created, sits exactly where minG was (or after it).
 	s.placeWithCount(nd, minCount+n)
 }
 
@@ -501,7 +314,7 @@ func (s *StreamSummary[K]) placeWithCount(nd int32, count uint64) {
 //
 //hh:noalloc
 func (s *StreamSummary[K]) Estimate(item K) uint64 {
-	nd, ok := s.lookup(item)
+	nd, ok := s.items.Get(item)
 	if !ok {
 		return 0
 	}
@@ -515,7 +328,7 @@ func (s *StreamSummary[K]) Estimate(item K) uint64 {
 //
 //hh:noalloc
 func (s *StreamSummary[K]) ErrorOf(item K) uint64 {
-	nd, ok := s.lookup(item)
+	nd, ok := s.items.Get(item)
 	if !ok {
 		return 0
 	}
@@ -528,7 +341,7 @@ func (s *StreamSummary[K]) ErrorOf(item K) uint64 {
 //
 //hh:noalloc
 func (s *StreamSummary[K]) MinCount() uint64 {
-	if s.size() < s.m || s.head == nilIdx {
+	if s.items.Len() < s.m || s.head == nilIdx {
 		return 0
 	}
 	return s.groups[s.head].count
@@ -591,8 +404,8 @@ func (s *StreamSummary[K]) Len() int { return s.items.Len() }
 // stored counters always sum to exactly this value.
 func (s *StreamSummary[K]) N() uint64 { return s.n }
 
-// Reset restores the empty state, retaining the slabs and map storage so
-// a reset structure keeps updating allocation-free.
+// Reset restores the empty state, retaining the slabs and the index
+// storage so a reset structure keeps updating allocation-free.
 //
 //hh:noalloc
 func (s *StreamSummary[K]) Reset() {

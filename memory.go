@@ -1,28 +1,33 @@
 package heavyhitters
 
-// Memory accounting for arena-backed summaries (WithArena): the
-// Summary.Memory walk down through the composition tiers. Each tier
-// that can attribute key storage sums the arena.MemStats of its
-// children — shards add their slots under the shard locks, windows add
-// every epoch of the ring (retired epochs retain their slabs, so they
-// are real footprint), and the concurrency tier serializes against
-// writers exactly as a snapshot capture would. Backends whose key
-// storage is a plain Go map (non-string keys, weighted/decayed cores,
-// sketches) report false: their footprint is owned by the runtime heap
-// and Memory has nothing exact to say about it.
+// Memory accounting for the arena-indexed structures: the
+// Summary.Memory walk down through the composition tiers. Every
+// unit-weight SPACESAVING and FREQUENT structure keeps its keys in the
+// arena index whatever the key kind (strings interned in slabs, other
+// kinds inline in the table), so it always reports. Each tier that can
+// attribute key storage sums the arena.MemStats of its children —
+// shards add their slots under the shard locks, windows add every
+// epoch of the ring (retired epochs retain their slabs and tables, so
+// they are real footprint), and the concurrency tier serializes
+// against writers exactly as a snapshot capture would. Backends whose
+// key storage is a plain Go map (weighted/decayed cores,
+// LOSSYCOUNTING, sketches) report false: their footprint is owned by
+// the runtime heap and Memory has nothing exact to say about it.
 
 import "repro/internal/arena"
 
-// MemoryStats is the steady-state memory footprint of an arena-backed
-// summary: the slab bytes holding the tracked keys plus the
-// open-addressing index over them. Sharded and windowed summaries
+// MemoryStats is the steady-state key-storage footprint of a summary:
+// the slab bytes holding interned string keys plus the open-addressing
+// index table over the tracked keys (inline keys of other kinds are
+// part of the table). Sharded and windowed summaries
 // report the sum over all shards and all epochs (including retired
 // epochs, whose slabs are retained for reuse). All other per-structure
 // state (the counter node/group slabs) is a fixed function of the
 // capacity m and is not included here.
 type MemoryStats struct {
 	// ArenaBytes is the total slab backing bytes — the number that
-	// grows when keys outsize the recycled regions.
+	// grows when keys outsize the recycled regions. Zero for non-string
+	// keys, which have no slabs.
 	ArenaBytes uint64
 	// ArenaSlabs is the slab count behind ArenaBytes.
 	ArenaSlabs int
@@ -32,9 +37,10 @@ type MemoryStats struct {
 	// slack: the tail of the current slab not yet handed out.
 	LiveBytes uint64
 	FreeBytes uint64
-	// LiveKeys is the number of tracked keys stored in slabs.
+	// LiveKeys is the number of tracked keys in the index.
 	LiveKeys int
-	// IndexSlots and IndexBytes size the open-addressing index arrays.
+	// IndexSlots and IndexBytes size the open-addressing index tables,
+	// inline keys included.
 	IndexSlots int
 	IndexBytes uint64
 }
@@ -73,16 +79,16 @@ func (m MemoryStats) BytesPerTrackedKey() float64 {
 
 // memReporter is the optional backend capability behind Summary.Memory:
 // implemented by the tiers that can attribute their key storage to
-// arenas. Backends without it (weighted, decayed, sketch) have map- or
-// slice-owned state and report no arena footprint.
+// arena indexes. Backends without it (weighted, decayed, sketch) have
+// map- or slice-owned state and report no footprint.
 type memReporter interface {
 	memory() (MemoryStats, bool)
 }
 
-// footprinter is what the concrete counter structures expose when
-// arena-backed (EnableArena succeeded).
+// footprinter is what the arena-indexed counter structures
+// (SPACESAVING, FREQUENT) expose.
 type footprinter interface {
-	MemoryFootprint() (arena.MemStats, bool)
+	MemoryFootprint() arena.MemStats
 }
 
 func (s *summary[K]) Memory() (MemoryStats, bool) {
@@ -97,12 +103,8 @@ func (b *unitBackend[K]) memory() (MemoryStats, bool) {
 	if !ok {
 		return MemoryStats{}, false
 	}
-	as, ok := fp.MemoryFootprint()
-	if !ok {
-		return MemoryStats{}, false
-	}
 	var m MemoryStats
-	m.add(as)
+	m.add(fp.MemoryFootprint())
 	return m, true
 }
 

@@ -50,11 +50,6 @@ type config struct {
 	// key it retains, so callers may pass keys whose backing memory is
 	// reused after the call returns.
 	borrowKeys bool
-
-	// Arena-backed key storage (WithArena): string keys live in
-	// per-structure byte slabs behind an open-addressing index instead
-	// of map[string]int32, making the steady-state heap pointer-free.
-	arena bool
 }
 
 // windowed reports whether the configuration asks for the epoch-ring
@@ -191,34 +186,6 @@ func WithPipeline() Option {
 // their backing memory afterwards.
 func WithBorrowedKeys() Option {
 	return func(c *config) { c.borrowKeys = true }
-}
-
-// WithArena stores string keys in per-structure byte slabs addressed
-// by (offset, len) references behind a flat open-addressing index
-// (internal/arena), replacing the map[string]int32 key index. The
-// steady-state heap then holds no per-key objects — a handful of slabs
-// and one slot array instead of m string allocations plus map buckets —
-// which is what GC scan time is made of at large m; the capacity bench
-// tier's bytes_per_tracked_key and heap_objects columns measure the
-// difference. Eviction recycles slab regions through per-size-class
-// free lists, so eviction-heavy streams do not grow the arena.
-//
-// The option applies to the unit-weight counter structures
-// (AlgoSpaceSaving and AlgoFrequent, plain or windowed) with
-// string-kind keys; every other composition — other key types, the
-// weighted and decayed variants, AlgoLossyCounting, the sketches —
-// silently keeps the map path, so it is always safe to set (the
-// registry sets it for every string-keyed deterministic summary).
-// Combined with WithBorrowedKeys, borrowed keys are copied straight
-// into the slabs at insertion — one copy, no intermediate string, no
-// clone cache.
-//
-// The trade: queries materialize their result keys (Top, All, Each,
-// snapshot rebuilds allocate one string per returned entry) because
-// stored keys alias slab memory that eviction recycles. Ingest stays
-// zero-alloc except when the arena grows a slab.
-func WithArena() Option {
-	return func(c *config) { c.arena = true }
 }
 
 // WithSeed fixes the seed of randomized backends (Count-Min,

@@ -383,19 +383,6 @@ func (t *pipelineTier[K]) updateBatch(items []K, _ []uint64) {
 	b.pool.Put(sc)
 }
 
-// updateBatchN replays pre-coalesced groups through the rings; not on
-// the UpdateBatch hot path (which coalesces above), but part of the
-// backend contract.
-//
-//hh:noalloc
-func (t *pipelineTier[K]) updateBatchN(items []K, counts []uint32, _ []uint64) {
-	for i, it := range items {
-		if counts[i] > 0 {
-			t.updateN(it, uint64(counts[i]))
-		}
-	}
-}
-
 //hh:noalloc
 func (t *pipelineTier[K]) reset() {
 	t.flush()

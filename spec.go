@@ -50,10 +50,6 @@ type Spec struct {
 	// BorrowedKeys makes the summary clone retained keys so ingest
 	// paths may alias keys into reused buffers (WithBorrowedKeys).
 	BorrowedKeys bool `json:"borrowed_keys,omitempty"`
-	// Arena stores string keys in pointer-free byte slabs (WithArena).
-	// A no-op for configurations the arena does not apply to — hhserverd
-	// sets it on every string-keyed counter summary.
-	Arena bool `json:"arena,omitempty"`
 	// Seed fixes the hash/sketch seed (WithSeed); 0 means unset.
 	Seed uint64 `json:"seed,omitempty"`
 	// Ephemeral excludes the summary from durability: on a daemon with
@@ -116,9 +112,6 @@ func (sp Spec) Options() ([]Option, error) {
 	}
 	if sp.BorrowedKeys {
 		opts = append(opts, WithBorrowedKeys())
-	}
-	if sp.Arena {
-		opts = append(opts, WithArena())
 	}
 	if sp.Seed != 0 {
 		opts = append(opts, WithSeed(sp.Seed))

@@ -3,7 +3,6 @@ package heavyhitters
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"iter"
 	"math"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/frequent"
+	"repro/internal/hashing"
 	"repro/internal/lossycounting"
 	"repro/internal/recovery"
 	"repro/internal/sketch"
@@ -128,11 +128,13 @@ type Summary[K comparable] interface {
 	// full E·m counter budget — equal to the per-epoch bound
 	// A·res/(m − B·k), the honest price of rotating E epochs.
 	Guarantee() (TailGuarantee, bool)
-	// Memory reports the summary's arena footprint — slab and index
-	// bytes attributed to tracked-key storage, summed over shards and
-	// window epochs — when the summary is arena-backed (WithArena with
-	// string-kind keys). The second result is false for map-backed
-	// summaries, whose key storage belongs to the runtime heap and has
+	// Memory reports the key-storage footprint — arena slab and index
+	// table bytes, summed over shards and window epochs — of the
+	// unit-weight SPACESAVING and FREQUENT summaries, which keep every
+	// key kind in the arena index (strings interned in slabs, other
+	// kinds inline in the table). The second result is false for the
+	// map-keyed compositions (weighted, decayed, LOSSYCOUNTING, the
+	// sketches), whose key storage belongs to the runtime heap and has
 	// no exact per-summary attribution.
 	Memory() (MemoryStats, bool)
 	// Window reports the epoch-ring rotation state of a summary built
@@ -177,13 +179,14 @@ func New[K comparable](opts ...Option) Summary[K] {
 	if err := cfg.resolve(); err != nil {
 		panic(err)
 	}
-	// One hash closure serves shard placement and sketch key mapping:
-	// beyond saving a hash per key on the sharded batch path, sharing
-	// the closure is what makes that reuse sound for every key type —
-	// the maphash fallback of keyHasher draws a random seed per
-	// closure, so two separately built hashers disagree.
-	hash := keyHasher[K](cfg.seed)
-	mk := func(shard int) backend[K] { return newBackend[K](cfg, shard, hash) }
+	// One hash closure serves shard placement, sketch key mapping and
+	// the SPACESAVING/FREQUENT key index: beyond saving a hash per key
+	// on the sharded batch path, sharing the closure is what makes that
+	// reuse sound for every key type — the maphash fallback of
+	// hashing.KeyHasher draws a random seed per closure, so two
+	// separately built hashers disagree.
+	hash := hashing.KeyHasher[K](cfg.seed)
+	mk := func(shard int) leafBackend[K] { return newBackend[K](cfg, shard, hash) }
 	var be backend[K]
 	if cfg.shards > 0 {
 		sb := newShardedBackend(cfg.shards, cfg.coalescible(), hash, mk)
@@ -203,7 +206,7 @@ func New[K comparable](opts ...Option) Summary[K] {
 
 // newBackend builds the backend for one shard, layering the window or
 // decay tier on top of the core structure when configured.
-func newBackend[K comparable](cfg config, shard int, hash func(K) uint64) backend[K] {
+func newBackend[K comparable](cfg config, shard int, hash func(K) uint64) leafBackend[K] {
 	// One cloner (and one dedup cache) per shard, shared by every
 	// structure the shard's composition builds — window epochs rotate
 	// under the same writer, so sharing is safe and keeps a tail key's
@@ -225,15 +228,18 @@ func newBackend[K comparable](cfg config, shard int, hash func(K) uint64) backen
 // newCoreBackend builds the single-structure backend for one shard
 // (shard indices decorrelate sketch seeds; counter algorithms ignore
 // them). hash must be the same closure the sharded partitioner uses, so
-// precomputed hashes handed to updateBatch match this backend's own.
-// cl, when non-nil, is installed as the borrowed-key clone hook on the
-// structure's retention paths (WithBorrowedKeys).
-func newCoreBackend[K comparable](cfg config, shard int, hash func(K) uint64, cl func(K) K) backend[K] {
+// precomputed hashes handed to updateBatch match this backend's own —
+// the sketches map keys with it and SPACESAVING/FREQUENT index them
+// with it. cl, when non-nil, is installed as the borrowed-key clone
+// hook on the map-keyed structures' retention paths (WithBorrowedKeys);
+// SPACESAVING and FREQUENT need none, because their index interns
+// string keys and holds every other supported kind by value.
+func newCoreBackend[K comparable](cfg config, shard int, hash func(K) uint64, cl func(K) K) leafBackend[K] {
 	switch {
 	case cfg.algo == AlgoCountMin:
 		b := &sketchBackend[K]{
 			cm:    sketch.NewCountMin(cfg.depth, cfg.m, cfg.seed+uint64(shard)),
-			hash:  hash, //hh:allocok hash is a keyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
+			hash:  hash, //hh:allocok hash is a hashing.KeyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
 			width: cfg.m,
 			track: newTracker[K](cfg.m),
 		}
@@ -242,7 +248,7 @@ func newCoreBackend[K comparable](cfg config, shard int, hash func(K) uint64, cl
 	case cfg.algo == AlgoCountSketch:
 		b := &sketchBackend[K]{
 			cs:    sketch.NewCountSketch(cfg.depth, cfg.m, cfg.seed+uint64(shard)),
-			hash:  hash, //hh:allocok hash is a keyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
+			hash:  hash, //hh:allocok hash is a hashing.KeyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
 			width: cfg.m,
 			track: newTracker[K](cfg.m),
 		}
@@ -257,22 +263,14 @@ func newCoreBackend[K comparable](cfg config, shard int, hash func(K) uint64, cl
 		fqr.SetKeyClone(cl)
 		return &weightedBackend[K]{fqr: fqr, g: TailGuarantee{A: 1, B: 1}, hasG: true}
 	case cfg.algo == AlgoSpaceSaving:
-		ss := spacesaving.New[K](cfg.m)
-		// The arena interns retained keys itself; the clone hook is only
-		// for the map path (EnableArena declines non-string keys).
-		if !cfg.arena || !ss.EnableArena(cfg.seed) {
-			ss.SetKeyClone(cl)
-		}
+		ss := spacesaving.NewHashed(cfg.m, hash)
 		return &unitBackend[K]{
 			alg: ss, addN: ss.AddN, addNBatch: ss.AddNBatch,
 			appendRaw: ss.AppendEntries, eachRaw: ss.Each,
 			g: TailGuarantee{A: 1, B: 1}, hasG: true, over: true,
 		}
 	case cfg.algo == AlgoFrequent:
-		fq := frequent.New[K](cfg.m)
-		if !cfg.arena || !fq.EnableArena(cfg.seed) {
-			fq.SetKeyClone(cl)
-		}
+		fq := frequent.NewHashed(cfg.m, hash)
 		return &unitBackend[K]{
 			alg: fq, addN: fq.AddN, addNBatch: fq.AddNBatch,
 			appendRaw: fq.AppendEntries, eachRaw: fq.Each,
@@ -303,16 +301,6 @@ type backend[K comparable] interface {
 	// do not hash ignore it.
 	//hh:noalloc
 	updateBatch(items []K, hashes []uint64)
-	// updateBatchN records counts[i] occurrences of items[i] — the
-	// coalesced batch: the sharded partitioner groups a batch's
-	// duplicate keys and hands each shard one entry per distinct key.
-	// Keys must be pairwise distinct and counts non-nil with
-	// len(counts) == len(items); counts is caller scratch and may be
-	// mutated (the window tier splits groups at rotation boundaries in
-	// place). hashes follows the updateBatch contract. Equivalent to
-	// calling updateN(items[i], counts[i]) in order.
-	//hh:noalloc
-	updateBatchN(items []K, counts []uint32, hashes []uint64)
 	//hh:noalloc
 	estimate(item K) float64
 	//hh:noalloc
@@ -359,6 +347,23 @@ type backend[K comparable] interface {
 	windowState() (WindowState, bool)
 	//hh:noalloc
 	reset()
+}
+
+// leafBackend is a backend a shard slot or a window epoch holds: the
+// compositions below the sharded tier, which also take the coalesced
+// batch the partitioner builds.
+type leafBackend[K comparable] interface {
+	backend[K]
+	// updateBatchN records counts[i] occurrences of items[i] — the
+	// coalesced batch: the sharded partitioner groups a batch's
+	// duplicate keys and hands each shard one entry per distinct key.
+	// Keys must be pairwise distinct and counts non-nil with
+	// len(counts) == len(items); counts is caller scratch and may be
+	// mutated (the window tier splits groups at rotation boundaries in
+	// place). hashes follows the updateBatch contract. Equivalent to
+	// calling updateN(items[i], counts[i]) in order.
+	//hh:noalloc
+	updateBatchN(items []K, counts []uint32, hashes []uint64)
 }
 
 // summary adapts a backend to the public Summary interface.
@@ -552,10 +557,9 @@ func MergeSummaries[K comparable](m int, summaries ...Summary[K]) (Summary[K], e
 type unitBackend[K comparable] struct {
 	alg  Counter[K]
 	addN func(K, uint64) //hh:noalloc -- native integral-weight path; nil = repeat Update
-	// addNBatch is the structure's two-pass coalesced-batch kernel
-	// (AddNBatch on SPACESAVING/FREQUENT): hash/probe all keys into
-	// scratch first, then apply — restoring the memory-level parallelism
-	// the one-at-a-time probe loop serializes away. nil = repeat updateN.
+	// addNBatch is the structure's coalesced-batch kernel (AddNBatch on
+	// SPACESAVING/FREQUENT), which probes and inserts with the partition
+	// hashes instead of rehashing each key. nil = repeat updateN.
 	//hh:noalloc
 	addNBatch func(items []K, counts []uint32, hashes []uint64)
 	// appendRaw is the backend's allocation-free snapshot primitive
@@ -883,7 +887,7 @@ func (b *weightedBackend[K]) reset() {
 
 type shardSlot[K comparable] struct {
 	mu sync.Mutex
-	be backend[K] //hh:guardedby mu
+	be leafBackend[K] //hh:guardedby mu
 	// Padding to keep shard locks on distinct cache lines.
 	_ [40]byte
 }
@@ -953,8 +957,8 @@ type coalEntry struct {
 	idx int32
 }
 
-func newShardedBackend[K comparable](p int, coalesce bool, hash func(K) uint64, mk func(int) backend[K]) *shardedBackend[K] {
-	//hh:allocok hash is a keyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
+func newShardedBackend[K comparable](p int, coalesce bool, hash func(K) uint64, mk func(int) leafBackend[K]) *shardedBackend[K] {
+	//hh:allocok hash is a hashing.KeyHasher closure; its branches call only mix64/fnv1a/maphash.Comparable
 	b := &shardedBackend[K]{slots: make([]shardSlot[K], p), hash: hash, coalesce: coalesce}
 	for i := range b.slots {
 		b.slots[i].be = mk(i)
@@ -1126,19 +1130,6 @@ func (b *shardedBackend[K]) coalesceInto(sc *batchScratch[K], items []K) {
 				}
 			}
 			pos = (pos + 1) & mask
-		}
-	}
-}
-
-// updateBatchN routes pre-coalesced groups (the pipeline tier re-submits
-// partitioned sub-batches through this) item by item; it is not on the
-// direct UpdateBatch hot path, which coalesces and locks per shard above.
-//
-//hh:noalloc
-func (b *shardedBackend[K]) updateBatchN(items []K, counts []uint32, _ []uint64) {
-	for i, it := range items {
-		if counts[i] > 0 {
-			b.updateN(it, uint64(counts[i]))
 		}
 	}
 }
@@ -1640,45 +1631,4 @@ func (t *tracker[K]) swap(i, j int) {
 	t.heap[i], t.heap[j] = t.heap[j], t.heap[i]
 	t.pos[t.heap[i].item] = i
 	t.pos[t.heap[j].item] = j
-}
-
-// --- key hashing ---
-
-// keyHasher returns the stateless key hash used for shard placement and
-// sketch key mapping: a seeded Fibonacci mix for uint64 keys, seeded
-// FNV-1a for strings, and hash/maphash for every other comparable type
-// (deterministic within a process, randomized across processes — shard
-// placement never affects correctness, only which shard owns an item).
-func keyHasher[K comparable](seed uint64) func(K) uint64 {
-	var zero K
-	switch any(zero).(type) {
-	case uint64:
-		return func(k K) uint64 { return mix64(any(k).(uint64) ^ seed) }
-	case string:
-		return func(k K) uint64 { return fnv1a(any(k).(string), seed) }
-	default:
-		mseed := maphash.MakeSeed()
-		return func(k K) uint64 { return maphash.Comparable(mseed, k) }
-	}
-}
-
-//hh:noalloc
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0x9e3779b97f4a7c15
-	return x ^ x>>29
-}
-
-//hh:noalloc
-func fnv1a(s string, seed uint64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset) ^ mix64(seed)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }

@@ -86,7 +86,7 @@ type WindowState struct {
 // Like the other unsharded backends it is single-threaded by contract;
 // WithShards wraps one windowBackend per shard under the shard locks.
 type windowBackend[K comparable] struct {
-	ring []backend[K]
+	ring []leafBackend[K]
 	cur  int // slot receiving updates
 	live int // slots holding data (1..len(ring))
 
@@ -116,7 +116,7 @@ type windowBackend[K comparable] struct {
 // clock, so every shard covers the same time span.
 func newWindowBackend[K comparable](cfg config, shard int, hash func(K) uint64, cl func(K) K) *windowBackend[K] {
 	b := &windowBackend[K]{
-		ring: make([]backend[K], cfg.epochs),
+		ring: make([]leafBackend[K], cfg.epochs),
 		live: 1,
 		agg:  make(map[K]int),
 	}

@@ -208,13 +208,15 @@ func TestWindowHeavyHittersOracle(t *testing.T) {
 }
 
 // TestWindowBatchMatchesUnit is the batch-kernel equivalence matrix:
-// across algo × window × shard × pipeline × arena compositions, batch
+// across algo × window × shard × pipeline × key-storage compositions, batch
 // ingestion must be bit-identical to per-item ingestion — including
 // rotation splits landing in identical epoch layouts. Where the
 // sharded tier coalesces (counter algorithms other than LOSSYCOUNTING),
 // the per-item reference replays each batch in first-occurrence-grouped
 // order, which is the documented batch semantics (UpdateBatch); for
-// the rest, arrival order is the reference.
+// the rest, arrival order is the reference. The arena= axis is the key
+// storage of the index: arena=true feeds string keys, interned into the
+// slab arena; arena=false feeds uint64 keys, held inline.
 func TestWindowBatchMatchesUnit(t *testing.T) {
 	str := stream.Zipf(500, 1.1, 20000, stream.OrderRandom, 5)
 	// A batch size coprime to the epoch length forces rotation splits
@@ -227,9 +229,9 @@ func TestWindowBatchMatchesUnit(t *testing.T) {
 					if pipeline && shards == 0 {
 						continue // WithPipeline requires WithShards
 					}
-					for _, arena := range []bool{false, true} {
+					for _, interned := range []bool{false, true} {
 						name := fmt.Sprintf("%v/window=%d/shards=%d/pipeline=%v/arena=%v",
-							algo, window, shards, pipeline, arena)
+							algo, window, shards, pipeline, interned)
 						t.Run(name, func(t *testing.T) {
 							opts := []hh.Option{hh.WithAlgorithm(algo), hh.WithCapacity(64)}
 							if window != 0 {
@@ -241,11 +243,8 @@ func TestWindowBatchMatchesUnit(t *testing.T) {
 							if pipeline {
 								opts = append(opts, hh.WithPipeline())
 							}
-							if arena {
-								opts = append(opts, hh.WithArena())
-							}
 							coalesced := shards > 0 && algo != hh.AlgoLossyCounting
-							if arena {
+							if interned {
 								runBatchUnitEquiv(t, opts, strKeys(str), stride, coalesced, 500)
 							} else {
 								runBatchUnitEquiv(t, opts, str, stride, coalesced, 500)
@@ -302,7 +301,8 @@ func runBatchUnitEquiv[K comparable](t *testing.T, opts []hh.Option, str []K, st
 	}
 }
 
-// strKeys maps a uint64 stream to string keys for the arena matrix.
+// strKeys maps a uint64 stream to string keys for the interned half of
+// the matrix.
 func strKeys(str []uint64) []string {
 	out := make([]string, len(str))
 	for i, x := range str {
